@@ -978,14 +978,14 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
     let mut k = 10usize;
     let mut parallelism = 1usize;
     let mut dropout = 0.0f64;
-    let mut transport = TransportKind::Auto;
+    let mut transport: Option<TransportKind> = None;
     let mut trace_path: Option<String> = None;
     let mut cursor = ArgCursor::new("trial", &rest);
     while let Some(arg) = cursor.next_option() {
         match arg {
             "--transport" => match cursor.raw_value("--transport")? {
-                "memory" => transport = TransportKind::Memory,
-                "tcp" => transport = TransportKind::Tcp,
+                "memory" => transport = Some(TransportKind::Memory),
+                "tcp" => transport = Some(TransportKind::Tcp),
                 other => return Err(format!("--transport must be memory or tcp, got {other:?}")),
             },
             "--parallelism" => parallelism = cursor.value("--parallelism")?,
@@ -1002,7 +1002,7 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
     // (`--parallelism 0`, `--dropout 1.5`) rather than being clamped.
     let engine = EngineConfig::parallel(parallelism)
         .with_faults(FaultPlan::dropout(dropout, 0xFA_u64))
-        .transport(transport);
+        .transport(transport.unwrap_or_default());
     // Tracing never changes results: the sink is inert, so a traced trial
     // is bit-identical to an untraced one.
     let telemetry = if trace_path.is_some() {
@@ -1049,8 +1049,8 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
     println!("mechanism        {mechanism}");
     println!("dataset          {dataset}");
     println!("parallelism      {}", engine.parallelism);
-    if engine.transport != TransportKind::Auto {
-        println!("transport        {:?}", engine.transport);
+    if let Some(transport) = transport {
+        println!("transport        {transport:?}");
     }
     if dropout > 0.0 {
         println!("dropout          {dropout}");

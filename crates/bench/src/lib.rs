@@ -54,7 +54,6 @@
 
 pub mod epochs;
 pub mod experiments;
-pub mod microbench;
 pub mod nodespec;
 pub mod perf;
 pub mod report;

@@ -14,10 +14,12 @@
 //! | `mech_e2e/fedpem/<path>` | FedPEM end-to-end on the RDB stand-in (one leg per [`FoExec`] path) |
 //! | `mech_e2e/{gtf,tap,taps}/batched` | The other mechanisms end-to-end on the batched hot path |
 //!
-//! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar`, `batched` or
-//! `vectorized`.  All legs are measured **in the same run**, so the batched
-//! and vectorized speed-ups are visible in every emitted report,
-//! machine-independent.
+//! `<fo>` is `krr`, `oue` or `olh`; for the oracle kernels `<path>` is
+//! `scalar` (the trait's one-report `perturb` loop and allocating
+//! `aggregate`), `batched` or `vectorized`, and for `mech_e2e/fedpem` it is
+//! `batched` or `vectorized`.  All legs are measured **in the same run**,
+//! so the batched and vectorized speed-ups are visible in every emitted
+//! report, machine-independent.
 //!
 //! ## `BENCH_perf.json` schema (version 1)
 //!
@@ -580,9 +582,8 @@ fn run_suite_impl(
     })
 }
 
-/// The six pinned mechanism end-to-end legs, in suite order.
-const E2E_LEGS: [(MechanismKind, FoExec, &str); 6] = [
-    (MechanismKind::FedPem, FoExec::Scalar, "fedpem/scalar"),
+/// The five pinned mechanism end-to-end legs, in suite order.
+const E2E_LEGS: [(MechanismKind, FoExec, &str); 5] = [
     (MechanismKind::FedPem, FoExec::Batched, "fedpem/batched"),
     (
         MechanismKind::FedPem,
@@ -1062,7 +1063,6 @@ mod tests {
             }
         }
         for name in [
-            "mech_e2e/fedpem/scalar",
             "mech_e2e/fedpem/batched",
             "mech_e2e/fedpem/vectorized",
             "mech_e2e/gtf/batched",

@@ -84,7 +84,7 @@
 use crate::perf::json;
 use crate::report::json_string;
 use fedhh_datasets::{DatasetConfig, DatasetKind};
-use fedhh_federated::{EngineConfig, ExecMode, ProtocolConfig};
+use fedhh_federated::{EngineConfig, LevelEstimator, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_telemetry::{Telemetry, TraceLine};
 use std::fmt::Write as _;
@@ -306,17 +306,21 @@ impl ScaleOptions {
         } else {
             ProtocolConfig::default()
         };
-        let exec_mode = if self.eager {
-            ExecMode::Eager
+        base.with_epsilon(4.0)
+    }
+
+    /// The engine of every sweep point: the eager baseline buffers whole
+    /// level groups; the streamed plane always chunks, at `--chunk` or the
+    /// estimator's automatic chunk size.
+    fn engine(&self) -> EngineConfig {
+        let chunk = if self.eager {
+            NonZeroUsize::MAX
         } else {
-            match self.chunk {
-                Some(chunk) => ExecMode::Chunked(chunk),
-                None => ExecMode::Chunked(
-                    NonZeroUsize::new(ExecMode::AUTO_CHUNK).expect("constant is non-zero"),
-                ),
-            }
+            self.chunk.unwrap_or(
+                NonZeroUsize::new(LevelEstimator::AUTO_CHUNK).expect("constant is non-zero"),
+            )
         };
-        base.with_epsilon(4.0).with_exec_mode(exec_mode)
+        EngineConfig::parallel(self.parallelism).chunk_size(chunk)
     }
 }
 
@@ -380,7 +384,7 @@ pub fn run_scale_traced(
         let output = Run::mechanism(options.mechanism)
             .dataset(&dataset)
             .config(config)
-            .engine(EngineConfig::parallel(options.parallelism))
+            .engine(options.engine())
             .telemetry(&telemetry)
             .execute()
             .map_err(|e| format!("scale point user_scale={user_scale}: {e}"))?;

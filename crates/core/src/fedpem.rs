@@ -17,8 +17,9 @@ use crate::pem::run_pem_traced;
 use crate::run::RunContext;
 use crate::tap::locals_from_reports;
 use fedhh_federated::{
-    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, LevelEstimated,
-    PartyDriver, ProtocolConfig, ProtocolError, RoundInput, RoundOutcome, RoundPayload, RunPhase,
+    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, EstimateScratch,
+    LevelEstimated, PartyDriver, ProtocolConfig, ProtocolError, RoundInput, RoundOutcome,
+    RoundPayload, RunPhase,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -66,7 +67,7 @@ struct FedPemDriver<'a> {
     config: ProtocolConfig,
     extension: ExtensionStrategy,
     seed: u64,
-    telemetry: fedhh_telemetry::Telemetry,
+    scratch: EstimateScratch,
 }
 
 impl PartyDriver for FedPemDriver<'_> {
@@ -81,7 +82,7 @@ impl PartyDriver for FedPemDriver<'_> {
             &self.config,
             self.extension,
             self.seed,
-            &self.telemetry,
+            &mut self.scratch,
         )?;
         let report = outcome.local.to_report(self.config.granularity);
         let mut round = RoundOutcome::default();
@@ -125,7 +126,7 @@ impl Mechanism for FedPem {
                 config,
                 extension,
                 seed: ctx.party_seed(idx),
-                telemetry: ctx.telemetry().clone(),
+                scratch: ctx.scratch(),
             })
             .collect();
 

@@ -29,9 +29,9 @@
 use crate::mechanism::{Mechanism, MechanismKind, MechanismOutput};
 use fedhh_datasets::{FederatedDataset, ItemStream};
 use fedhh_federated::{
-    AdversaryModel, CommTracker, EngineConfig, LevelEstimated, PartyEvent, ProtocolConfig,
-    ProtocolError, PruningDecision, RoundCollection, RunObserver, RunPhase, RunSummary, Session,
-    SessionLink,
+    AdversaryModel, CommTracker, EngineConfig, EstimateScratch, LevelEstimated, PartyEvent,
+    ProtocolConfig, ProtocolError, PruningDecision, RoundCollection, RunObserver, RunPhase,
+    RunSummary, Session, SessionLink,
 };
 use fedhh_telemetry::{Counter, SpanGuard, SpanName, Telemetry};
 
@@ -93,25 +93,29 @@ impl<'a> RunContext<'a> {
     }
 
     /// The run's telemetry handle (disabled unless one was attached).
-    /// Mechanisms use this to open `level` spans in their drivers and to
-    /// attach the handle to their [`fedhh_federated::EstimateScratch`]es.
+    /// Mechanisms use this to open `level` spans in their drivers.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
+    /// A fresh estimation scratch for one party driver: it carries the
+    /// run's telemetry handle and the engine's
+    /// [`EngineConfig::chunk_size`] pin into every level estimate.
+    /// Mechanisms must build their scratches here so both settings reach
+    /// the estimator.
+    pub fn scratch(&self) -> EstimateScratch {
+        EstimateScratch::for_engine(&self.engine, &self.telemetry)
+    }
+
     /// Returns the context with a different engine configuration.
     ///
-    /// An engine with [`EngineConfig::chunk_size`] set pins the run's
-    /// protocol configuration to chunked report-pipeline execution with
-    /// that chunk size (bit-identical results; only resident memory
-    /// changes).
+    /// An engine with [`EngineConfig::chunk_size`] set runs the report
+    /// pipeline in chunks of that size (bit-identical results; only
+    /// resident memory changes).
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        if let Some(chunk) = engine.chunk {
-            self.config.exec_mode = fedhh_federated::ExecMode::Chunked(chunk);
-        }
         // The topology and quorum axes travel in the protocol config (the
         // wire handshake pins them federation-wide); an engine override
-        // folds into the config the same way the chunk override does.
+        // folds into the config.
         if let Some(topology) = engine.topology {
             self.config.topology = topology;
         }

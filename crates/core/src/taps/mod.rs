@@ -343,11 +343,7 @@ impl Mechanism for Taps {
                 use_pruning: self.use_pruning,
                 is_last,
                 total_users,
-                scratch: {
-                    let mut scratch = EstimateScratch::new();
-                    scratch.set_telemetry(ctx.telemetry());
-                    scratch
-                },
+                scratch: ctx.scratch(),
                 telemetry: ctx.telemetry().clone(),
             };
             let collection = session.run_solo_round(party_idx, &mut driver, &input)?;

@@ -4,74 +4,23 @@ use crate::error::ProtocolError;
 use crate::topology::{QuorumPolicy, Topology};
 use fedhh_fo::{FoKind, PrivacyBudget};
 use fedhh_trie::LevelSchedule;
-use std::num::NonZeroUsize;
-
-/// How the report pipeline buffers a level group's reports.
-///
-/// Results are **bit-identical** across every variant and chunk size (the
-/// chunked pipeline consumes the RNG in the same per-report order and folds
-/// each chunk into the same support arena); the axis only trades resident
-/// memory against per-chunk overhead.  See `ARCHITECTURE.md` for where the
-/// invariant is enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// Pick per level group: eager below [`ExecMode::AUTO_THRESHOLD`] users
-    /// (the current behaviour at test scale), chunks of
-    /// [`ExecMode::AUTO_CHUNK`] above it.
-    #[default]
-    Auto,
-    /// Buffer the whole level group's inputs and reports at once (the
-    /// pre-0.6 behaviour).
-    Eager,
-    /// Perturb and aggregate in chunks of the given size: at most
-    /// `chunk` inputs and reports are resident at any time.
-    Chunked(NonZeroUsize),
-}
-
-impl ExecMode {
-    /// The group size above which [`ExecMode::Auto`] switches from eager
-    /// buffering to chunked execution.
-    pub const AUTO_THRESHOLD: usize = 1 << 16;
-
-    /// The chunk size [`ExecMode::Auto`] uses for large groups.
-    pub const AUTO_CHUNK: usize = 16_384;
-
-    /// The chunk size to process a group of `group_len` users with (the
-    /// whole group for the eager path); always at least 1.
-    pub fn chunk_for(&self, group_len: usize) -> usize {
-        match self {
-            ExecMode::Eager => group_len.max(1),
-            ExecMode::Chunked(chunk) => chunk.get(),
-            ExecMode::Auto => {
-                if group_len > Self::AUTO_THRESHOLD {
-                    Self::AUTO_CHUNK
-                } else {
-                    group_len.max(1)
-                }
-            }
-        }
-    }
-}
 
 /// How the level estimator drives the frequency oracle.
 ///
-/// `Scalar` and `Batched` are **bit-identical** to each other (the batched
-/// implementations consume the same sequential RNG stream); the scalar path
-/// exists as the reference baseline for the `fedhh-bench perf` regression
-/// suite and for debugging, not as a behavioural option.  `Vectorized` is a
-/// third, deliberately *different* pinned path: counter-based randomness
-/// (`fedhh_fo::ctr`) drives branch-free SoA kernels, so its output is
-/// deterministic per seed and bit-identical across any chunk size and
-/// engine parallelism, but numerically different from `Scalar`/`Batched`
-/// at the same seed.  The path travels in the wire handshake config, so a
-/// federation can never mix paths across processes.
+/// `Batched` consumes the sequential RNG stream in the order the oracles'
+/// scalar `perturb` would (the `fedhh-fo` property suite proves the batch
+/// overrides bit-identical to it).  `Vectorized` is a second, deliberately
+/// *different* pinned path: counter-based randomness (`fedhh_fo::ctr`)
+/// drives branch-free SoA kernels, so its output is deterministic per seed
+/// and bit-identical across any chunk size and engine parallelism, but
+/// numerically different from `Batched` at the same seed.  The path
+/// travels in the wire handshake config, so a federation can never mix
+/// paths across processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FoExec {
     /// Batched perturbation and aggregation — the sequential-RNG hot path.
     #[default]
     Batched,
-    /// One-report-at-a-time reference path.
-    Scalar,
     /// Counter-RNG SoA kernels — the fastest path, pinned on its own
     /// stream (not bit-compatible with the sequential paths).
     Vectorized,
@@ -79,13 +28,12 @@ pub enum FoExec {
 
 impl FoExec {
     /// All execution paths, in `kernel-equivalence` CI matrix order.
-    pub const ALL: [FoExec; 3] = [FoExec::Scalar, FoExec::Batched, FoExec::Vectorized];
+    pub const ALL: [FoExec; 2] = [FoExec::Batched, FoExec::Vectorized];
 
     /// Stable lowercase name for reports, CLI arguments and env knobs.
     pub fn name(&self) -> &'static str {
         match self {
             FoExec::Batched => "batched",
-            FoExec::Scalar => "scalar",
             FoExec::Vectorized => "vectorized",
         }
     }
@@ -94,19 +42,35 @@ impl FoExec {
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "batched" => Some(FoExec::Batched),
-            "scalar" => Some(FoExec::Scalar),
             "vectorized" | "vec" => Some(FoExec::Vectorized),
             _ => None,
         }
     }
 
     /// The execution path named by the `FEDHH_TEST_FO_EXEC` environment
-    /// variable, if set and valid — the knob the `kernel-equivalence` CI
-    /// job uses to sweep the whole test suite across paths.
+    /// variable, if set — the knob the `kernel-equivalence` CI job uses to
+    /// sweep the whole test suite across paths.
+    ///
+    /// # Panics
+    ///
+    /// When the variable names no path (e.g. the removed `scalar`): a
+    /// matrix leg must fail loudly rather than silently re-test `Batched`.
     pub fn from_env() -> Option<Self> {
-        std::env::var("FEDHH_TEST_FO_EXEC")
-            .ok()
-            .and_then(|v| Self::parse(&v))
+        let name = std::env::var("FEDHH_TEST_FO_EXEC").ok()?;
+        match Self::parse(&name) {
+            Some(exec) => Some(exec),
+            None => panic!("FEDHH_TEST_FO_EXEC: {}", Self::unknown(&name)),
+        }
+    }
+
+    /// The error text for a name [`FoExec::parse`] rejects: it names every
+    /// valid path.
+    fn unknown(name: &str) -> String {
+        let valid: Vec<&str> = Self::ALL.iter().map(FoExec::name).collect();
+        format!(
+            "unknown FO execution path {name:?} (valid paths: {})",
+            valid.join(", ")
+        )
     }
 }
 
@@ -142,14 +106,10 @@ pub struct ProtocolConfig {
     pub dividing_ratio: f64,
     /// RNG seed for the run (group assignment and perturbation noise).
     pub seed: u64,
-    /// Whether the frequency oracle runs on the batched or the scalar
-    /// reference path (bit-identical results either way).
+    /// Whether the frequency oracle runs on the batched sequential-RNG
+    /// path or the counter-RNG vectorized path (two distinct pinned
+    /// streams).
     pub fo_exec: FoExec,
-    /// How the report pipeline buffers a level group's reports: eagerly or
-    /// in fixed-size chunks (bit-identical results either way;
-    /// [`EngineConfig::chunk_size`](crate::EngineConfig::chunk_size) pins
-    /// this per run).
-    pub exec_mode: ExecMode,
     /// How party uploads reach the root aggregator: the flat star or a
     /// cohort tree ([`Topology::Tree`] is bit-identical to
     /// [`Topology::Flat`] at quorum 1.0; merging is lossless).
@@ -172,7 +132,6 @@ impl Default for ProtocolConfig {
             dividing_ratio: 0.1,
             seed: 7,
             fo_exec: FoExec::Batched,
-            exec_mode: ExecMode::Auto,
             topology: Topology::Flat,
             quorum: QuorumPolicy::full(),
         }
@@ -230,17 +189,9 @@ impl ProtocolConfig {
         self
     }
 
-    /// Returns a copy with a different frequency-oracle execution path
-    /// (used by the perf baseline suite to pin the scalar reference).
+    /// Returns a copy with a different frequency-oracle execution path.
     pub fn with_fo_exec(mut self, fo_exec: FoExec) -> Self {
         self.fo_exec = fo_exec;
-        self
-    }
-
-    /// Returns a copy with a different report-pipeline buffering mode
-    /// (bit-identical results at any mode and chunk size).
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
         self
     }
 
@@ -471,26 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_resolves_chunk_sizes() {
-        use std::num::NonZeroUsize;
-        // Eager always spans the group (clamped to 1 for empty groups).
-        assert_eq!(ExecMode::Eager.chunk_for(0), 1);
-        assert_eq!(ExecMode::Eager.chunk_for(500), 500);
-        // Explicit chunks are honoured verbatim.
-        let chunk = ExecMode::Chunked(NonZeroUsize::new(7).unwrap());
-        assert_eq!(chunk.chunk_for(3), 7);
-        assert_eq!(chunk.chunk_for(1_000_000), 7);
-        // Auto keeps the current (eager) behaviour at test scale and flips
-        // to fixed chunks past the threshold.
-        assert_eq!(ExecMode::Auto.chunk_for(1000), 1000);
-        assert_eq!(
-            ExecMode::Auto.chunk_for(ExecMode::AUTO_THRESHOLD + 1),
-            ExecMode::AUTO_CHUNK
-        );
-        // The builder pins the mode.
-        let c = ProtocolConfig::default().with_exec_mode(ExecMode::Eager);
-        assert_eq!(c.exec_mode, ExecMode::Eager);
-        assert_eq!(ProtocolConfig::default().exec_mode, ExecMode::Auto);
+    fn unknown_fo_exec_names_list_the_valid_paths() {
+        assert_eq!(FoExec::parse("scalar"), None);
+        let message = FoExec::unknown("scalar");
+        assert!(message.contains("\"scalar\""), "{message}");
+        assert!(message.contains("batched, vectorized"), "{message}");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::config::{FoExec, ProtocolConfig};
 use crate::error::ProtocolError;
+use crate::session::EngineConfig;
 use fedhh_fo::{
     CandidateDomain, CtrRng, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch,
     SupportCounts,
@@ -17,6 +18,7 @@ use fedhh_telemetry::{SpanName, Telemetry};
 use fedhh_trie::Prefix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 
 /// Reusable per-worker scratch for the batched estimation hot path.
 ///
@@ -26,7 +28,9 @@ use rand::SeedableRng;
 /// those allocations once per worker instead of once per level, and reuses
 /// the constructed [`Oracle`] whenever consecutive levels share a candidate
 /// domain size — this is the "aggregate shard-locally, allocate never"
-/// contract the engine workers rely on.
+/// contract the engine workers rely on.  A run builds its scratches with
+/// [`EstimateScratch::for_engine`], which carries the run's telemetry
+/// handle and [`EngineConfig::chunk_size`] pin into every estimate.
 ///
 /// ```
 /// use fedhh_federated::{EstimateScratch, LevelEstimator, ProtocolConfig};
@@ -59,6 +63,9 @@ pub struct EstimateScratch {
     /// aggregation run under `perturb` / `aggregate` spans.  Disabled by
     /// default — a fresh scratch records nothing.
     telemetry: Telemetry,
+    /// The pinned chunk size; `None` applies the automatic rule (see
+    /// [`LevelEstimator::AUTO_THRESHOLD`]).
+    chunk: Option<NonZeroUsize>,
 }
 
 impl EstimateScratch {
@@ -72,15 +79,39 @@ impl EstimateScratch {
             supports: SupportCounts::zeros(0),
             oracle: None,
             telemetry: Telemetry::disabled(),
+            chunk: None,
         }
     }
 
-    /// Attaches a telemetry handle; subsequent
-    /// [`LevelEstimator::estimate_with`] calls using this scratch time
-    /// their perturb/aggregate kernels under it.  Observation only — the
-    /// estimates are bit-identical with or without it.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = telemetry.clone();
+    /// Creates an empty scratch for a run on `engine`: estimates using it
+    /// process each level group in chunks of the engine's
+    /// [`EngineConfig::chunk_size`] (the automatic rule when unset) and
+    /// time their perturb/aggregate kernels under `telemetry`.  Both are
+    /// local choices — the estimates are bit-identical at any chunk size,
+    /// with or without telemetry.
+    pub fn for_engine(engine: &EngineConfig, telemetry: &Telemetry) -> Self {
+        Self {
+            telemetry: telemetry.clone(),
+            chunk: engine.chunk,
+            ..Self::new()
+        }
+    }
+
+    /// The telemetry handle this scratch records under.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// The chunk size to process a group of `group_len` users with: the
+    /// pinned size, else the whole group up to
+    /// [`LevelEstimator::AUTO_THRESHOLD`] users and
+    /// [`LevelEstimator::AUTO_CHUNK`] above it; always at least 1.
+    fn chunk_for(&self, group_len: usize) -> usize {
+        match self.chunk {
+            Some(chunk) => chunk.get(),
+            None if group_len > LevelEstimator::AUTO_THRESHOLD => LevelEstimator::AUTO_CHUNK,
+            None => group_len.max(1),
+        }
     }
 
     /// Returns the cached oracle for this configuration, constructing (and
@@ -173,6 +204,14 @@ pub struct LevelEstimator {
 }
 
 impl LevelEstimator {
+    /// The group size above which an estimate without a pinned chunk size
+    /// switches from one whole-group chunk to [`LevelEstimator::AUTO_CHUNK`].
+    pub const AUTO_THRESHOLD: usize = 1 << 16;
+
+    /// The chunk size used for groups above [`LevelEstimator::AUTO_THRESHOLD`]
+    /// when no chunk size is pinned.
+    pub const AUTO_CHUNK: usize = 16_384;
+
     /// Creates an estimator bound to a protocol configuration.
     ///
     /// The configuration is validated once here, so estimation itself can
@@ -217,18 +256,17 @@ impl LevelEstimator {
     /// party, per round) never reallocates its report buffers, support
     /// arena or oracle.
     ///
-    /// The group is processed in chunks selected by
-    /// [`ExecMode::chunk_for`](crate::ExecMode::chunk_for): each chunk's
-    /// prefixes are encoded, perturbed
-    /// with `perturb_batch` and folded straight into the scratch's
-    /// [`SupportCounts`] arena before the next chunk is touched, so at most
-    /// one chunk of inputs and reports is ever resident — **no full
-    /// per-group report vector exists** under a chunked mode.  Because the
-    /// RNG is consumed in the same per-report order regardless of chunk
-    /// boundaries (and support counts are whole-number sums, exact in
-    /// `f64`), results are bit-identical to [`LevelEstimator::estimate`] at
-    /// every chunk size — and, via the oracles' batch contract, to the
-    /// scalar one-report-at-a-time path (selected by [`FoExec::Scalar`]).
+    /// The group is processed in chunks of the scratch's chunk size (see
+    /// [`EstimateScratch::for_engine`]): each chunk's prefixes are encoded,
+    /// perturbed with `perturb_batch` and folded straight into the
+    /// scratch's [`SupportCounts`] arena before the next chunk is touched,
+    /// so at most one chunk of inputs and reports is ever resident — **no
+    /// full per-group report vector exists** once the group is chunked.
+    /// Because the RNG is consumed in the same per-report order regardless
+    /// of chunk boundaries (and support counts are whole-number sums, exact
+    /// in `f64`), results are bit-identical to [`LevelEstimator::estimate`]
+    /// at every chunk size — and, via the oracles' batch contract, to
+    /// drawing one report at a time with the oracles' scalar `perturb`.
     ///
     /// Under [`FoExec::Vectorized`] the chunk loop instead drives the
     /// counter-RNG SoA kernels: chunk invariance holds by construction
@@ -269,7 +307,7 @@ impl LevelEstimator {
         // (key, k), so chunk boundaries and evaluation order cannot move
         // any draw.
         let ctr = CtrRng::new(self.config.seed ^ noise_seed);
-        let chunk_size = self.config.exec_mode.chunk_for(users);
+        let chunk_size = scratch.chunk_for(users);
         // Cloned out of the scratch so the spans below don't fight the
         // buffer borrows (a handle is one `Option<Arc>` — the clone is
         // cheaper than a clock read).
@@ -298,22 +336,6 @@ impl LevelEstimator {
                     }
                     let _aggregate = telemetry.span(SpanName::Aggregate);
                     oracle.aggregate_into(&scratch.reports, &mut scratch.supports);
-                    report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
-                }
-                FoExec::Scalar => {
-                    // The reference path: one perturb call per report and a
-                    // freshly allocated aggregation, as the 0.3 estimator
-                    // ran (chunk sums of whole-number supports are exact,
-                    // so chunking cannot perturb the reference results).
-                    {
-                        let _perturb = telemetry.span(SpanName::Perturb);
-                        scratch.reports.reserve(chunk.len());
-                        for &input in &scratch.inputs {
-                            scratch.reports.push(oracle.perturb(input, &mut rng));
-                        }
-                    }
-                    let _aggregate = telemetry.span(SpanName::Aggregate);
-                    scratch.supports.merge(&oracle.aggregate(&scratch.reports));
                     report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
                 }
                 FoExec::Vectorized => {
@@ -357,7 +379,6 @@ impl LevelEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedhh_trie::Prefix;
 
     fn config() -> ProtocolConfig {
         ProtocolConfig {
@@ -439,35 +460,31 @@ mod tests {
         assert_eq!(ranked[0].0, 0b00);
     }
 
-    #[test]
-    fn batched_scalar_and_scratch_paths_are_bit_identical() {
-        let base = config();
-        let scalar_config = ProtocolConfig {
-            fo_exec: crate::config::FoExec::Scalar,
-            ..base
+    /// A scratch for a run whose engine pins `chunk` (the automatic rule
+    /// when `None`).
+    fn scratch(chunk: Option<usize>) -> EstimateScratch {
+        let engine = match chunk {
+            Some(chunk) => EngineConfig::sequential().chunk_size(NonZeroUsize::new(chunk).unwrap()),
+            None => EngineConfig::sequential(),
         };
+        EstimateScratch::for_engine(&engine, &Telemetry::disabled())
+    }
+
+    #[test]
+    fn fresh_and_reused_scratches_are_bit_identical() {
         let items: Vec<u64> = (0..3000).map(|i| (i % 11) << 4 | (i % 13)).collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
-            let batched = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
-            let scalar = LevelEstimator::new(ProtocolConfig {
-                fo,
-                ..scalar_config
-            })
-            .unwrap();
-            let a = batched.estimate(&candidates, 2, &items, 77);
-            let b = scalar.estimate(&candidates, 2, &items, 77);
-            assert_eq!(a.frequencies, b.frequencies, "fo {fo}");
-            assert_eq!(a.counts, b.counts, "fo {fo}");
-            assert_eq!(a.report_bits, b.report_bits, "fo {fo}");
-
+            let estimator = LevelEstimator::new(ProtocolConfig { fo, ..config() }).unwrap();
+            let fresh = estimator.estimate(&candidates, 2, &items, 77);
             // A scratch reused across calls (levels) must not leak state.
             let mut scratch = EstimateScratch::new();
-            let warm = batched.estimate_with(&mut scratch, &[0b0u64, 0b1], 1, &items, 5);
+            let warm = estimator.estimate_with(&mut scratch, &[0b0u64, 0b1], 1, &items, 5);
             assert_eq!(warm.users, items.len());
-            let c = batched.estimate_with(&mut scratch, &candidates, 2, &items, 77);
-            assert_eq!(a.frequencies, c.frequencies, "fo {fo} (scratch reuse)");
-            assert_eq!(a.report_bits, c.report_bits, "fo {fo} (scratch reuse)");
+            let reused = estimator.estimate_with(&mut scratch, &candidates, 2, &items, 77);
+            assert_eq!(fresh.frequencies, reused.frequencies, "fo {fo}");
+            assert_eq!(fresh.counts, reused.counts, "fo {fo}");
+            assert_eq!(fresh.report_bits, reused.report_bits, "fo {fo}");
         }
     }
 
@@ -488,94 +505,106 @@ mod tests {
         assert_eq!(w1.candidates, wide);
     }
 
-    #[test]
-    fn chunked_execution_is_bit_identical_at_every_chunk_size() {
-        use crate::config::ExecMode;
-        use std::num::NonZeroUsize;
-        let base = config();
+    /// Every pinned chunk size and the automatic rule reproduce the
+    /// one-chunk estimate of `fo_exec`'s stream bit for bit, for every FO.
+    fn assert_chunk_invariant(fo_exec: FoExec) {
         let items: Vec<u64> = (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
-            for fo_exec in [
-                crate::config::FoExec::Batched,
-                crate::config::FoExec::Scalar,
-            ] {
-                let eager = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    fo_exec,
-                    exec_mode: ExecMode::Eager,
-                    ..base
-                })
-                .unwrap();
-                let reference = eager.estimate(&candidates, 2, &items, 31);
-                for chunk in [1usize, 7, 64, usize::MAX] {
-                    let chunked = LevelEstimator::new(ProtocolConfig {
-                        fo,
-                        fo_exec,
-                        exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
-                        ..base
-                    })
-                    .unwrap();
-                    let got = chunked.estimate(&candidates, 2, &items, 31);
-                    assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
-                    assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
-                    assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
-                }
-                // Auto resolves to one of the two bit-identical paths.
-                let auto = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    fo_exec,
-                    exec_mode: ExecMode::Auto,
-                    ..base
-                })
-                .unwrap();
-                let got = auto.estimate(&candidates, 2, &items, 31);
-                assert_eq!(got.frequencies, reference.frequencies, "{fo} auto");
-            }
-        }
-    }
-
-    #[test]
-    fn vectorized_execution_is_bit_identical_at_every_chunk_size() {
-        use crate::config::ExecMode;
-        use std::num::NonZeroUsize;
-        let base = config();
-        let items: Vec<u64> = (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect();
-        let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        for fo in fedhh_fo::FoKind::ALL {
-            let eager = LevelEstimator::new(ProtocolConfig {
+            let estimator = LevelEstimator::new(ProtocolConfig {
                 fo,
-                fo_exec: crate::config::FoExec::Vectorized,
-                exec_mode: ExecMode::Eager,
-                ..base
+                fo_exec,
+                ..config()
             })
             .unwrap();
-            let reference = eager.estimate(&candidates, 2, &items, 31);
-            for chunk in [1usize, 7, 64, usize::MAX] {
-                let chunked = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    fo_exec: crate::config::FoExec::Vectorized,
-                    exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
-                    ..base
-                })
-                .unwrap();
-                let got = chunked.estimate(&candidates, 2, &items, 31);
-                assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
-                assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
-                assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
+            let mut eager = scratch(Some(usize::MAX));
+            let reference = estimator.estimate_with(&mut eager, &candidates, 2, &items, 31);
+            for chunk in [Some(1usize), Some(7), Some(64), None] {
+                let got = estimator.estimate_with(&mut scratch(chunk), &candidates, 2, &items, 31);
+                let what = format!("{fo}/{fo_exec} chunk {chunk:?}");
+                assert_eq!(got.frequencies, reference.frequencies, "{what}");
+                assert_eq!(got.counts, reference.counts, "{what}");
+                assert_eq!(got.report_bits, reference.report_bits, "{what}");
             }
             // Deterministic per seed; a different noise seed moves it.
-            let again = eager.estimate(&candidates, 2, &items, 31);
+            let again = estimator.estimate(&candidates, 2, &items, 31);
             assert_eq!(again.frequencies, reference.frequencies, "{fo} rerun");
-            let other = eager.estimate(&candidates, 2, &items, 32);
+            let other = estimator.estimate(&candidates, 2, &items, 32);
             assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
         }
     }
 
     #[test]
+    fn chunked_execution_is_bit_identical_at_every_chunk_size() {
+        assert_chunk_invariant(FoExec::Batched);
+    }
+
+    #[test]
+    fn vectorized_execution_is_bit_identical_at_every_chunk_size() {
+        assert_chunk_invariant(FoExec::Vectorized);
+    }
+
+    #[test]
+    fn unpinned_chunk_sizes_follow_the_automatic_rule() {
+        // A pin is honoured verbatim; without one, groups up to the
+        // threshold run as one chunk (clamped to 1 for empty groups) and
+        // larger groups in fixed chunks.
+        assert_eq!(scratch(Some(7)).chunk_for(3), 7);
+        assert_eq!(scratch(Some(7)).chunk_for(1_000_000), 7);
+        assert_eq!(scratch(Some(usize::MAX)).chunk_for(500), usize::MAX);
+        assert_eq!(scratch(None).chunk_for(0), 1);
+        assert_eq!(scratch(None).chunk_for(1000), 1000);
+        let threshold = LevelEstimator::AUTO_THRESHOLD;
+        assert_eq!(scratch(None).chunk_for(threshold), threshold);
+        assert_eq!(
+            scratch(None).chunk_for(threshold + 1),
+            LevelEstimator::AUTO_CHUNK
+        );
+        // A fresh scratch is unpinned.
+        assert_eq!(
+            EstimateScratch::new().chunk_for(threshold + 1),
+            LevelEstimator::AUTO_CHUNK
+        );
+    }
+
+    #[test]
+    fn automatic_chunking_matches_one_chunk_on_both_sides_of_the_threshold() {
+        let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
+        for users in [
+            LevelEstimator::AUTO_THRESHOLD,
+            LevelEstimator::AUTO_THRESHOLD + 1,
+        ] {
+            let items: Vec<u64> = (0..users as u64).map(|i| (i % 13) << 4 | (i % 7)).collect();
+            for fo_exec in FoExec::ALL {
+                let estimator = LevelEstimator::new(ProtocolConfig {
+                    fo_exec,
+                    ..config()
+                })
+                .unwrap();
+                let whole = estimator.estimate_with(
+                    &mut scratch(Some(usize::MAX)),
+                    &candidates,
+                    2,
+                    &items,
+                    9,
+                );
+                let auto = estimator.estimate_with(&mut scratch(None), &candidates, 2, &items, 9);
+                assert_eq!(
+                    auto.frequencies, whole.frequencies,
+                    "{fo_exec} at {users} users"
+                );
+                assert_eq!(
+                    auto.report_bits, whole.report_bits,
+                    "{fo_exec} at {users} users"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn vectorized_path_is_pinned_separately_from_the_sequential_paths() {
-        // Vectorized is *not* bit-compatible with Batched/Scalar at the
-        // same seed — it is its own pinned stream.  Both still estimate
+        // Vectorized is *not* bit-compatible with Batched at the same
+        // seed — it is its own pinned stream.  Both still estimate
         // the same distribution: the dominant prefix agrees.
         let base = config();
         let items: Vec<u64> = (0..4000)
@@ -592,7 +621,7 @@ mod tests {
             let batched = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
             let vectorized = LevelEstimator::new(ProtocolConfig {
                 fo,
-                fo_exec: crate::config::FoExec::Vectorized,
+                fo_exec: FoExec::Vectorized,
                 ..base
             })
             .unwrap();
@@ -606,15 +635,14 @@ mod tests {
 
     #[test]
     fn fo_exec_names_round_trip() {
-        for exec in crate::config::FoExec::ALL {
-            assert_eq!(crate::config::FoExec::parse(exec.name()), Some(exec));
+        for exec in FoExec::ALL {
+            assert_eq!(FoExec::parse(exec.name()), Some(exec));
             assert_eq!(exec.to_string(), exec.name());
         }
-        assert_eq!(
-            crate::config::FoExec::parse("VEC"),
-            Some(crate::config::FoExec::Vectorized)
-        );
-        assert_eq!(crate::config::FoExec::parse("nope"), None);
+        assert_eq!(FoExec::parse("VEC"), Some(FoExec::Vectorized));
+        assert_eq!(FoExec::parse("nope"), None);
+        // The removed reference path is no longer a name.
+        assert_eq!(FoExec::parse("scalar"), None);
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub mod wire;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use comm::{shared_tracker, CommTracker, SharedCommTracker};
-pub use config::{ExecMode, FoExec, ProtocolConfig};
+pub use config::{FoExec, ProtocolConfig};
 pub use epoch::{
     BudgetLedger, EpochConfig, EpochExecutor, EpochOutput, EpochRecord, EpochRunner, EpochState,
     PartyPopulation, WarmSet, WarmStart,
@@ -137,7 +137,7 @@ pub use session::{
 };
 pub use socket::SocketTransport;
 pub use topology::{QuorumPolicy, Topology};
-pub use transport::{InMemoryTransport, ShardedTransport, Transport};
+pub use transport::{InMemoryTransport, Transport};
 
 // The wire error is part of this crate's error surface
 // (`ProtocolError::Transport`), so re-export it for matchers.

@@ -31,23 +31,20 @@ use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{apply_report_flip, AdversaryModel, FlipMode, ScenarioPlan};
 use crate::socket::SocketTransport;
 use crate::topology::{QuorumPolicy, Topology};
-use crate::transport::{InMemoryTransport, ShardedTransport, Transport};
+use crate::transport::{InMemoryTransport, Transport};
 use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
 
 /// Which [`Transport`] implementation a session routes its uploads through.
 ///
 /// The choice never affects results — every transport drains into the same
-/// canonical order — only how the bytes move.
+/// canonical order — only how the bytes move.  A scenario that corrupts
+/// frames ([`AdversaryModel::CorruptFrames`]) always runs on the socket
+/// transport, whatever kind is configured: only it has frames to corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
-    /// Pick automatically: in-memory for sequential sessions, sharded for
-    /// parallel ones.
+    /// The single-queue [`InMemoryTransport`], at any parallelism.
     #[default]
-    Auto,
-    /// The single-queue [`InMemoryTransport`].
     Memory,
-    /// The per-worker [`ShardedTransport`].
-    Sharded,
     /// The loopback [`SocketTransport`]: every upload crosses a real TCP
     /// socket in the `fedhh-wire` frame format.
     Tcp,
@@ -66,7 +63,8 @@ pub struct EngineConfig {
     pub transport: TransportKind,
     /// When set, pins the report pipeline to chunked execution with this
     /// chunk size for the whole run (see [`EngineConfig::chunk_size`]);
-    /// `None` leaves the protocol configuration's `exec_mode` in charge.
+    /// `None` lets the estimator pick per level group (see
+    /// [`crate::LevelEstimator::AUTO_THRESHOLD`]).
     pub chunk: Option<std::num::NonZeroUsize>,
     /// When set, pins the aggregation topology for the whole run (see
     /// [`EngineConfig::with_topology`]); `None` leaves the protocol
@@ -83,7 +81,7 @@ impl EngineConfig {
         Self {
             parallelism: 1,
             scenario: ScenarioPlan::benign(),
-            transport: TransportKind::Auto,
+            transport: TransportKind::Memory,
             chunk: None,
             topology: None,
             quorum: None,
@@ -120,7 +118,7 @@ impl EngineConfig {
     /// Returns a copy routing uploads through the given transport.
     ///
     /// [`TransportKind::Tcp`] sends every upload across a real loopback
-    /// socket; results are bit-identical to the in-memory transports.
+    /// socket; results are bit-identical to the in-memory transport.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
         self
@@ -128,8 +126,10 @@ impl EngineConfig {
 
     /// Returns a copy that pins the report pipeline to chunked execution
     /// with at most `chunk` inputs and reports resident per worker — the
-    /// memory axis of million-user runs.  Results are **bit-identical** at
-    /// every chunk size and parallelism.
+    /// memory axis of million-user runs; `NonZeroUsize::MAX` buffers each
+    /// level group whole.  Results are **bit-identical** at every chunk
+    /// size and parallelism, so the pin is local to this process and never
+    /// travels in the wire handshake.
     ///
     /// ```
     /// use fedhh_federated::EngineConfig;
@@ -370,10 +370,9 @@ impl Session {
     /// Creates a session for `party_count` parties, validating the engine
     /// configuration and resolving the fault plan's dropouts up front.
     ///
-    /// The transport follows [`EngineConfig::transport`];
-    /// [`TransportKind::Auto`] picks an [`InMemoryTransport`] for sequential
-    /// sessions and a [`ShardedTransport`] with one shard per worker for
-    /// parallel ones.
+    /// The transport follows [`EngineConfig::transport`], except that a
+    /// scenario corrupting frames always gets the socket transport (see
+    /// [`TransportKind`]).
     pub fn new(engine: &EngineConfig, party_count: usize) -> Result<Self, ProtocolError> {
         Self::with_link(engine, party_count, None)
     }
@@ -390,28 +389,19 @@ impl Session {
             link.validate(party_count)
                 .map_err(ProtocolError::Transport)?;
         }
-        // Frame corruption lives on the framed (TCP) path: route Auto there
-        // when the scenario corrupts frames, so the attack surface exists.
+        // Frame corruption lives on the framed (TCP) path: a scenario that
+        // corrupts frames runs there whatever transport was asked for, so
+        // the attack surface exists.
         let corruption = engine.scenario.corruption();
-        let transport: Box<dyn Transport> = match engine.transport {
-            TransportKind::Auto if corruption.is_some() => Box::new(
-                SocketTransport::loopback_with(engine.parallelism, corruption)
-                    .map_err(ProtocolError::Transport)?,
-            ),
-            TransportKind::Auto => {
-                if engine.parallelism > 1 {
-                    Box::new(ShardedTransport::new(engine.parallelism))
-                } else {
-                    Box::new(InMemoryTransport::new())
-                }
-            }
-            TransportKind::Memory => Box::new(InMemoryTransport::new()),
-            TransportKind::Sharded => Box::new(ShardedTransport::new(engine.parallelism)),
-            TransportKind::Tcp => Box::new(
-                SocketTransport::loopback_with(engine.parallelism, corruption)
-                    .map_err(ProtocolError::Transport)?,
-            ),
-        };
+        let transport: Box<dyn Transport> =
+            if engine.transport == TransportKind::Tcp || corruption.is_some() {
+                Box::new(
+                    SocketTransport::loopback_with(engine.parallelism, corruption)
+                        .map_err(ProtocolError::Transport)?,
+                )
+            } else {
+                Box::new(InMemoryTransport::new())
+            };
         Ok(Self {
             transport,
             parallelism: engine.parallelism,
@@ -1101,7 +1091,7 @@ mod tests {
             }
             rounds
         };
-        let memory = collect(TransportKind::Auto, 1);
+        let memory = collect(TransportKind::Memory, 1);
         for parallelism in [1usize, 4] {
             assert_eq!(
                 collect(TransportKind::Tcp, parallelism),
@@ -1113,12 +1103,7 @@ mod tests {
 
     #[test]
     fn explicit_transport_kinds_are_honoured() {
-        for kind in [
-            TransportKind::Auto,
-            TransportKind::Memory,
-            TransportKind::Sharded,
-            TransportKind::Tcp,
-        ] {
+        for kind in [TransportKind::Memory, TransportKind::Tcp] {
             let engine = EngineConfig::sequential().transport(kind);
             let mut session = Session::new(&engine, 3).unwrap();
             let mut drivers = drivers(3);
@@ -1200,19 +1185,40 @@ mod tests {
         );
     }
 
-    #[test]
-    fn corrupt_frame_scenarios_route_auto_to_the_socket_transport() {
+    /// Runs one round of three parties under a scenario that corrupts
+    /// every upload frame: it must fail with a typed transport error, never
+    /// hang or panic — and never pass benign.
+    fn assert_every_frame_is_corrupted(engine: EngineConfig) {
         let plan = ScenarioPlan::benign()
             .with_adversary(AdversaryModel::CorruptFrames { fraction: 1.0 }, 5);
-        let mut session = Session::new(&EngineConfig::sequential().with_scenario(plan), 3).unwrap();
+        let mut session = Session::new(&engine.with_scenario(plan), 3).unwrap();
         let mut drivers = drivers(3);
         let active = session.active_parties();
-        // Every upload frame is corrupted: the round must fail with a typed
-        // transport error, never hang or panic.
         let err = session
             .run_round(&mut drivers, &active, &start(0))
             .unwrap_err();
-        assert!(matches!(err, ProtocolError::Transport(_)), "{err}");
+        assert!(
+            matches!(err, ProtocolError::Transport(_)),
+            "{:?}: {err}",
+            engine.transport
+        );
+    }
+
+    /// The default engine (no transport named) runs a frame-corrupting
+    /// scenario on the socket transport.
+    #[test]
+    fn corrupt_frame_scenarios_route_auto_to_the_socket_transport() {
+        assert_every_frame_is_corrupted(EngineConfig::sequential());
+    }
+
+    /// Regression: an explicit in-memory transport used to run the attack
+    /// benign, because only the default kind was routed to the socket.
+    #[test]
+    fn corrupt_frame_scenarios_ignore_an_explicit_memory_transport() {
+        for engine in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+            assert_every_frame_is_corrupted(engine.transport(TransportKind::Memory));
+        }
+        assert_every_frame_is_corrupted(EngineConfig::sequential().transport(TransportKind::Tcp));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!   connection to its own **reader thread** (one per shard), which decodes
 //!   `fedhh-wire` frames and queues the carried [`RoundMessage`]s;
 //! * a pool of client `TcpStream`s — one per shard, picked by
-//!   `from % shards` like [`crate::ShardedTransport`] — that
-//!   [`Transport::send`] writes `Upload` frames through.
+//!   `from % shards` — that [`Transport::send`] writes `Upload` frames
+//!   through.
 //!
 //! Every upload therefore crosses a real socket in the versioned frame
 //! format, while the engine keeps its ordinary synchronous shape:
@@ -15,10 +15,10 @@
 //! and blocks until each reader has observed it.  TCP preserves per-stream
 //! order, and the engine only drains after its workers joined, so the
 //! barrier guarantees the drain sees every message sent before it — the
-//! exact contract the in-memory transports provide.  A given sender always
+//! exact contract the in-memory transport provides.  A given sender always
 //! maps to one stream, so the stable canonical sort preserves each party's
 //! submission order, and results stay bit-identical to the in-memory
-//! transports.
+//! transport.
 //!
 //! Shutdown is graceful: dropping the transport sends a `Shutdown` frame on
 //! every client stream and joins the acceptor's reader threads, so no
@@ -109,7 +109,7 @@ impl Shared {
 }
 
 /// A [`Transport`] over loopback TCP: real sockets, real frames, the same
-/// canonical-order drain contract as the in-memory transports.
+/// canonical-order drain contract as the in-memory transport.
 ///
 /// Select it with [`crate::TransportKind::Tcp`] on an
 /// [`crate::EngineConfig`]; results are bit-identical to the in-memory

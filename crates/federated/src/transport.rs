@@ -7,17 +7,16 @@
 //! messages into the canonical `(round, from)` order, so the protocol's
 //! results never depend on which worker happened to finish first.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
-//! * [`InMemoryTransport`] — a single mutex-guarded queue, ideal for
-//!   sequential sessions (`parallelism = 1`).
-//! * [`ShardedTransport`] — one queue per worker shard, keyed by sender
-//!   index, so concurrent party workers never contend on one lock.
+//! * [`InMemoryTransport`] — a single mutex-guarded queue.  Each party
+//!   sends one message per round, so even parallel sessions take the lock
+//!   once per party, not once per report.
 //! * [`crate::SocketTransport`] — the same contract over real loopback TCP
 //!   sockets, using the `fedhh-wire` frame format.
 //!
 //! Sending and draining are fallible ([`fedhh_wire::WireError`]) because
-//! socket transports can fail; the in-memory transports never do.
+//! socket transports can fail; the in-memory transport never does.
 
 use crate::message::RoundMessage;
 use fedhh_telemetry::Telemetry;
@@ -36,7 +35,7 @@ pub trait Transport: Send + Sync {
 
     /// Attaches a telemetry handle for wire-level accounting (bytes and
     /// frames on the wire, reader queue depth).  The default is a no-op:
-    /// the in-memory transports have no wire, so only
+    /// the in-memory transport has no wire, so only
     /// [`crate::SocketTransport`] overrides it.  Recording must never
     /// change what `send`/`drain` return — telemetry is observation only.
     fn attach_telemetry(&self, _telemetry: &Telemetry) {}
@@ -55,8 +54,7 @@ pub(crate) fn canonical_sort(messages: &mut [RoundMessage]) {
     messages.sort_by_key(|m| (m.round, m.from));
 }
 
-/// The single-queue transport: one mutex, suitable for sequential sessions
-/// or low party counts.
+/// The single-queue transport: one mutex shared by every party worker.
 #[derive(Debug, Default)]
 pub struct InMemoryTransport {
     queue: Mutex<Vec<RoundMessage>>,
@@ -80,53 +78,6 @@ impl Transport for InMemoryTransport {
         // lock: the drained messages move out without a clone and the queue
         // retains no stale capacity between rounds.
         let mut messages = std::mem::take(&mut *self.queue.lock().expect("transport poisoned"));
-        canonical_sort(&mut messages);
-        Ok(messages)
-    }
-}
-
-/// The thread-sharded transport: senders hash to `from % shards`, so
-/// workers running disjoint party ranges (the engine's chunking) rarely
-/// touch the same lock.
-#[derive(Debug)]
-pub struct ShardedTransport {
-    shards: Vec<Mutex<Vec<RoundMessage>>>,
-}
-
-impl ShardedTransport {
-    /// Creates a transport with `shards` independent queues (at least one).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl Transport for ShardedTransport {
-    fn send(&self, message: RoundMessage) -> Result<(), WireError> {
-        let shard = message.from % self.shards.len();
-        self.shards[shard]
-            .lock()
-            .expect("transport shard poisoned")
-            .push(message);
-        Ok(())
-    }
-
-    fn drain(&self) -> Result<Vec<RoundMessage>, WireError> {
-        // Same `mem::take`-under-the-lock contract as the single queue; a
-        // given sender always maps to one shard, so concatenating shards in
-        // index order plus the stable canonical sort preserves each party's
-        // submission order.
-        let mut messages: Vec<RoundMessage> = self
-            .shards
-            .iter()
-            .flat_map(|shard| std::mem::take(&mut *shard.lock().expect("transport shard poisoned")))
-            .collect();
         canonical_sort(&mut messages);
         Ok(messages)
     }
@@ -185,34 +136,29 @@ mod tests {
 
     /// The stability contract of the canonical order: a party that uploads
     /// several messages in one round (e.g. a report followed by a pruning
-    /// dictionary) keeps its submission order through every transport, even
+    /// dictionary) keeps its submission order through the transport, even
     /// with other parties' messages interleaved.
     #[test]
     fn canonical_sort_is_stable_for_equal_keys() {
-        let transports: Vec<Box<dyn Transport>> = vec![
-            Box::new(InMemoryTransport::new()),
-            Box::new(ShardedTransport::new(3)),
-        ];
-        for transport in transports {
-            // Party 1 submits tags 10, 11, 12 in round 0, interleaved with
-            // other senders and rounds.
-            transport.send(message_tagged(1, 0, 10)).unwrap();
-            transport.send(message_tagged(0, 1, 90)).unwrap();
-            transport.send(message_tagged(1, 0, 11)).unwrap();
-            transport.send(message_tagged(2, 0, 80)).unwrap();
-            transport.send(message_tagged(1, 0, 12)).unwrap();
-            let drained = transport.drain().unwrap();
-            let party1_tags: Vec<u64> = drained
-                .iter()
-                .filter(|m| m.from == 1 && m.round == 0)
-                .map(|m| m.as_report().unwrap().candidates[0].0)
-                .collect();
-            assert_eq!(
-                party1_tags,
-                vec![10, 11, 12],
-                "equal (round, from) keys must keep submission order"
-            );
-        }
+        let transport = InMemoryTransport::new();
+        // Party 1 submits tags 10, 11, 12 in round 0, interleaved with
+        // other senders and rounds.
+        transport.send(message_tagged(1, 0, 10)).unwrap();
+        transport.send(message_tagged(0, 1, 90)).unwrap();
+        transport.send(message_tagged(1, 0, 11)).unwrap();
+        transport.send(message_tagged(2, 0, 80)).unwrap();
+        transport.send(message_tagged(1, 0, 12)).unwrap();
+        let drained = transport.drain().unwrap();
+        let party1_tags: Vec<u64> = drained
+            .iter()
+            .filter(|m| m.from == 1 && m.round == 0)
+            .map(|m| m.as_report().unwrap().candidates[0].0)
+            .collect();
+        assert_eq!(
+            party1_tags,
+            vec![10, 11, 12],
+            "equal (round, from) keys must keep submission order"
+        );
     }
 
     #[test]
@@ -228,20 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_transport_matches_the_in_memory_order() {
-        let sharded = ShardedTransport::new(3);
-        let reference = InMemoryTransport::new();
-        for (from, round) in [(4, 0), (1, 0), (3, 1), (0, 0), (2, 0), (1, 1)] {
-            sharded.send(message(from, round)).unwrap();
-            reference.send(message(from, round)).unwrap();
-        }
-        assert_eq!(order_after_drain(&sharded), order_after_drain(&reference));
-    }
-
-    #[test]
-    fn sharded_transport_survives_concurrent_senders() {
-        let transport = ShardedTransport::new(4);
-        assert_eq!(transport.shard_count(), 4);
+    fn in_memory_transport_survives_concurrent_senders() {
+        let transport = InMemoryTransport::new();
         std::thread::scope(|scope| {
             for worker in 0..4usize {
                 let transport = &transport;
@@ -256,13 +190,5 @@ mod tests {
         assert_eq!(drained.len(), 64);
         let senders: Vec<usize> = drained.iter().map(|m| m.from).collect();
         assert_eq!(senders, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_shards_is_clamped_to_one() {
-        let transport = ShardedTransport::new(0);
-        assert_eq!(transport.shard_count(), 1);
-        transport.send(message(5, 0)).unwrap();
-        assert_eq!(transport.drain().unwrap().len(), 1);
     }
 }

@@ -18,7 +18,7 @@
 //! Enum variants carry a one-byte tag; unknown tags decode to
 //! [`WireError::InvalidValue`], never a panic.
 
-use crate::config::{ExecMode, FoExec, ProtocolConfig};
+use crate::config::{FoExec, ProtocolConfig};
 use crate::fault::FaultPlan;
 use crate::message::{
     CandidateReport, MergedSupports, PruneCandidates, PruneDictionary, RoundMessage, RoundPayload,
@@ -409,18 +409,9 @@ impl Encode for ScenarioPlan {
 }
 
 impl Decode for ScenarioPlan {
-    /// Decodes a scenario — including **legacy frames** that carried a bare
-    /// [`FaultPlan`] where a scenario now travels: the fault fields come
-    /// first on the wire, so when the reader is exhausted after them the
-    /// frame predates the scenario plane and decodes to the benign
-    /// scenario of those faults.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let faults = FaultPlan::decode(reader)?;
-        if reader.remaining() == 0 {
-            return Ok(ScenarioPlan::from_faults(faults));
-        }
         Ok(ScenarioPlan {
-            faults,
+            faults: FaultPlan::decode(reader)?,
             adversary: AdversaryModel::decode(reader)?,
             seed: reader.take_u64_fixed()?,
         })
@@ -448,14 +439,14 @@ fn fo_kind_from_u8(raw: u8) -> Result<FoKind, WireError> {
     }
 }
 
-/// Stable one-byte discriminants for [`FoExec`] (`Batched`/`Scalar` since
-/// wire schema 1, `Vectorized` added in schema 4).  The execution path
-/// rides in the handshake config so coordinator and parties can never mix
-/// pinned FO streams within one federation.
+/// Stable one-byte discriminants for [`FoExec`] (`Batched` since wire
+/// schema 1, `Vectorized` added in schema 4; tag 1 was the scalar reference
+/// path, removed in schema 6, and is now an unknown tag).  The execution
+/// path rides in the handshake config so coordinator and parties can never
+/// mix pinned FO streams within one federation.
 fn fo_exec_to_u8(exec: FoExec) -> u8 {
     match exec {
         FoExec::Batched => 0,
-        FoExec::Scalar => 1,
         FoExec::Vectorized => 2,
     }
 }
@@ -463,42 +454,9 @@ fn fo_exec_to_u8(exec: FoExec) -> u8 {
 fn fo_exec_from_u8(raw: u8) -> Result<FoExec, WireError> {
     match raw {
         0 => Ok(FoExec::Batched),
-        1 => Ok(FoExec::Scalar),
         2 => Ok(FoExec::Vectorized),
         other => Err(WireError::InvalidValue {
             what: "frequency oracle execution path",
-            value: other as u64,
-        }),
-    }
-}
-
-/// Stable one-byte discriminants for [`ExecMode`] (part of wire schema 2);
-/// `Chunked` is followed by its chunk size as a varint.
-fn encode_exec_mode(mode: ExecMode, out: &mut Vec<u8>) {
-    match mode {
-        ExecMode::Auto => out.push(0),
-        ExecMode::Eager => out.push(1),
-        ExecMode::Chunked(chunk) => {
-            out.push(2);
-            chunk.get().encode(out);
-        }
-    }
-}
-
-fn decode_exec_mode(reader: &mut Reader<'_>) -> Result<ExecMode, WireError> {
-    match reader.take_u8()? {
-        0 => Ok(ExecMode::Auto),
-        1 => Ok(ExecMode::Eager),
-        2 => {
-            let raw = usize::decode(reader)?;
-            let chunk = std::num::NonZeroUsize::new(raw).ok_or(WireError::InvalidValue {
-                what: "chunk size",
-                value: 0,
-            })?;
-            Ok(ExecMode::Chunked(chunk))
-        }
-        other => Err(WireError::InvalidValue {
-            what: "execution mode",
             value: other as u64,
         }),
     }
@@ -559,21 +517,14 @@ impl Encode for ProtocolConfig {
         self.dividing_ratio.encode(out);
         put_u64_fixed(out, self.seed);
         out.push(fo_exec_to_u8(self.fo_exec));
-        encode_exec_mode(self.exec_mode, out);
         encode_topology(self.topology, out);
         self.quorum.encode(out);
     }
 }
 
 impl Decode for ProtocolConfig {
-    /// Decodes a configuration — including **legacy payloads** from before
-    /// the topology axis: the schema-gated frame layer already rejects
-    /// cross-version peers, but checkpoints and tests still carry bare
-    /// payloads, so when the reader is exhausted after the execution mode
-    /// the config decodes to the flat star with a full quorum (exactly the
-    /// pre-topology behaviour).
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut config = ProtocolConfig {
+        Ok(ProtocolConfig {
             k: usize::decode(reader)?,
             epsilon: f64::decode(reader)?,
             fo: fo_kind_from_u8(reader.take_u8()?)?,
@@ -584,15 +535,9 @@ impl Decode for ProtocolConfig {
             dividing_ratio: f64::decode(reader)?,
             seed: reader.take_u64_fixed()?,
             fo_exec: fo_exec_from_u8(reader.take_u8()?)?,
-            exec_mode: decode_exec_mode(reader)?,
-            topology: Topology::Flat,
-            quorum: QuorumPolicy::full(),
-        };
-        if reader.remaining() > 0 {
-            config.topology = decode_topology(reader)?;
-            config.quorum = QuorumPolicy::decode(reader)?;
-        }
-        Ok(config)
+            topology: decode_topology(reader)?,
+            quorum: QuorumPolicy::decode(reader)?,
+        })
     }
 }
 
@@ -709,44 +654,9 @@ mod tests {
         round_trip(ProtocolConfig::default());
         round_trip(ProtocolConfig {
             fo: FoKind::Olh,
-            fo_exec: FoExec::Scalar,
-            ..ProtocolConfig::test_default()
-        });
-        round_trip(ProtocolConfig {
             fo_exec: FoExec::Vectorized,
             ..ProtocolConfig::test_default()
         });
-        round_trip(ProtocolConfig {
-            exec_mode: ExecMode::Eager,
-            ..ProtocolConfig::default()
-        });
-        round_trip(ProtocolConfig {
-            exec_mode: ExecMode::Chunked(std::num::NonZeroUsize::new(4096).unwrap()),
-            ..ProtocolConfig::default()
-        });
-    }
-
-    #[test]
-    fn zero_chunk_sizes_are_rejected_on_decode() {
-        let config = ProtocolConfig {
-            exec_mode: ExecMode::Chunked(std::num::NonZeroUsize::new(1).unwrap()),
-            ..ProtocolConfig::default()
-        };
-        let mut bytes = to_bytes(&config);
-        // The chunk varint (value 1, one byte) sits right before the
-        // topology + quorum suffix; forge it to zero.
-        let mut suffix = Vec::new();
-        encode_topology(config.topology, &mut suffix);
-        config.quorum.encode(&mut suffix);
-        let chunk_at = bytes.len() - suffix.len() - 1;
-        bytes[chunk_at] = 0;
-        assert!(matches!(
-            from_bytes::<ProtocolConfig>(&bytes),
-            Err(WireError::InvalidValue {
-                what: "chunk size",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -769,22 +679,6 @@ mod tests {
             },
             ..ProtocolConfig::test_default()
         });
-    }
-
-    #[test]
-    fn legacy_config_payloads_decode_to_the_flat_star() {
-        // A pre-topology payload ends at the execution mode; strip the
-        // appended topology + quorum suffix to reconstruct one.
-        let config = ProtocolConfig::default();
-        let mut bytes = to_bytes(&config);
-        let mut suffix = Vec::new();
-        encode_topology(config.topology, &mut suffix);
-        config.quorum.encode(&mut suffix);
-        bytes.truncate(bytes.len() - suffix.len());
-        let back: ProtocolConfig = from_bytes(&bytes).unwrap();
-        assert_eq!(back, config);
-        assert!(back.topology.is_flat());
-        assert!(!back.quorum.is_partial());
     }
 
     #[test]
@@ -842,18 +736,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fault_plan_frames_decode_to_the_benign_scenario() {
-        // A peer from before the scenario plane encoded a bare FaultPlan
-        // where a ScenarioPlan now travels; its faults come through with no
-        // adversary attached.
-        let faults = FaultPlan {
-            dropout_fraction: 0.25,
-            stragglers: true,
-            seed: 42,
-        };
-        let legacy = to_bytes(&faults);
-        let scenario: ScenarioPlan = from_bytes(&legacy).unwrap();
-        assert_eq!(scenario, ScenarioPlan::from_faults(faults));
+    fn the_removed_scalar_exec_tag_is_a_typed_error() {
+        let config = ProtocolConfig::default();
+        let mut bytes = to_bytes(&config);
+        // The FO execution byte precedes the 1-byte flat topology tag and
+        // the 16-byte quorum.
+        let at = bytes.len() - 18;
+        assert_eq!(bytes[at], fo_exec_to_u8(config.fo_exec));
+        bytes[at] = 1;
+        assert_eq!(
+            from_bytes::<ProtocolConfig>(&bytes),
+            Err(WireError::InvalidValue {
+                what: "frequency oracle execution path",
+                value: 1,
+            })
+        );
     }
 
     #[test]
@@ -885,14 +782,37 @@ mod tests {
             },
             seed: 4,
         });
-        // Every cut except the bare fault plan (the legacy form, which
-        // decodes by design) must fail cleanly.
+        // Every cut — the bare 17-byte fault plan included — must fail
+        // with a typed error rather than decode to a default.
         for cut in 0..bytes.len() {
-            let result = from_bytes::<ScenarioPlan>(&bytes[..cut]);
-            if cut == 17 {
-                assert!(result.is_ok(), "the 17-byte prefix is a legacy fault plan");
-            } else {
-                assert!(result.is_err(), "cut at {cut}");
+            assert!(
+                from_bytes::<ScenarioPlan>(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_configs_never_panic() {
+        for config in [
+            ProtocolConfig::default(),
+            ProtocolConfig {
+                fo_exec: FoExec::Vectorized,
+                topology: Topology::Tree {
+                    fanout: 4,
+                    depth: 2,
+                },
+                ..ProtocolConfig::test_default()
+            },
+        ] {
+            let bytes = to_bytes(&config);
+            // Every cut — the pre-topology prefix included — must fail with
+            // a typed error rather than decode to a default.
+            for cut in 0..bytes.len() {
+                assert!(
+                    from_bytes::<ProtocolConfig>(&bytes[..cut]).is_err(),
+                    "cut at {cut}"
+                );
             }
         }
     }

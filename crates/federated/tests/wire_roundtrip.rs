@@ -4,9 +4,9 @@
 //! uplink accounting cannot silently drift from the wire format.
 
 use fedhh_federated::{
-    AdversaryModel, CandidateReport, ExecMode, FaultPlan, FlipMode, FoExec, MergedSupports,
-    ProtocolConfig, PruneCandidates, PruneDictionary, QuorumPolicy, RoundMessage, RoundPayload,
-    ScenarioPlan, Topology, PAIR_BITS,
+    AdversaryModel, CandidateReport, FaultPlan, FlipMode, FoExec, MergedSupports, ProtocolConfig,
+    PruneCandidates, PruneDictionary, QuorumPolicy, RoundMessage, RoundPayload, ScenarioPlan,
+    Topology, PAIR_BITS,
 };
 use fedhh_fo::FoKind;
 use fedhh_wire::{crc32, from_bytes, read_frame, to_bytes, write_frame, WireError, WIRE_SCHEMA};
@@ -69,14 +69,7 @@ fn random_config(rng: &mut StdRng) -> ProtocolConfig {
         fo_exec: if rng.gen::<bool>() {
             FoExec::Batched
         } else {
-            FoExec::Scalar
-        },
-        exec_mode: match rng.gen_range(0usize..3) {
-            0 => ExecMode::Auto,
-            1 => ExecMode::Eager,
-            _ => ExecMode::Chunked(
-                std::num::NonZeroUsize::new(rng.gen_range(1usize..1_000_000)).unwrap(),
-            ),
+            FoExec::Vectorized
         },
         topology: match rng.gen_range(0usize..3) {
             0 => Topology::Flat,
@@ -172,12 +165,11 @@ fn merged_supports_round_trip_bit_exactly() {
     }
 }
 
-/// Every prefix cut of a tree-topology handshake payload is either a typed
-/// `WireError` or (at the exact pre-topology boundary) a legacy decode to
-/// the flat-star defaults — never a panic, and never a tree config invented
-/// from a truncated suffix.
+/// Every prefix cut of a tree-topology handshake payload is a typed
+/// `WireError` — never a panic, and never a config completed with defaults
+/// (the pre-topology boundary included).
 #[test]
-fn topology_handshake_payload_cuts_are_typed_errors_or_legacy_defaults() {
+fn topology_handshake_payload_cuts_are_typed_errors() {
     let mut rng = rng(22);
     for _ in 0..50 {
         let mut config = random_config(&mut rng);
@@ -187,17 +179,9 @@ fn topology_handshake_payload_cuts_are_typed_errors_or_legacy_defaults() {
         };
         let bytes = to_bytes(&config);
         for cut in 0..bytes.len() {
-            match from_bytes::<ProtocolConfig>(&bytes[..cut]) {
-                // A cut that lands on the legacy (pre-topology) payload
-                // boundary decodes with the compatibility defaults.
-                Ok(decoded) => {
-                    assert_eq!(decoded.topology, Topology::Flat);
-                    assert_eq!(decoded.quorum, QuorumPolicy::full());
-                }
-                Err(err) => {
-                    let _ = err.to_string(); // typed, printable, no panic
-                }
-            }
+            let err = from_bytes::<ProtocolConfig>(&bytes[..cut])
+                .expect_err("a truncated config must not decode");
+            let _ = err.to_string(); // typed, printable, no panic
         }
         // Bit flips anywhere in the payload must never panic either.
         let mut corrupt = bytes.clone();
@@ -207,30 +191,33 @@ fn topology_handshake_payload_cuts_are_typed_errors_or_legacy_defaults() {
     }
 }
 
-/// Back-compat pin: a pre-topology peer speaks wire schema `WIRE_SCHEMA - 1`,
-/// and its frames must fail the handshake with a typed `SchemaMismatch` — not
-/// decode to garbage, not hang.  Forge a frame with a consistent crc but the
-/// previous schema byte so the failure is attributable to the schema alone.
+/// Back-compat pin: every older peer — pre-topology (schema 4 and below)
+/// and schema 5, whose configs still carried the execution mode — must fail
+/// the handshake with a typed `SchemaMismatch`, not decode to garbage, not
+/// hang.  Forge frames with a consistent crc but an older schema byte so
+/// the failure is attributable to the schema alone.
 #[test]
 fn pre_topology_schema_frames_fail_with_schema_mismatch() {
-    let legacy = WIRE_SCHEMA - 1;
+    assert_eq!(WIRE_SCHEMA, 6);
     let payload = to_bytes(&ProtocolConfig::test_default());
-    let length = 1 + payload.len() + 4;
-    let mut forged = Vec::new();
-    forged.extend_from_slice(&(length as u32).to_le_bytes());
-    forged.push(legacy);
-    forged.extend_from_slice(&payload);
-    let mut crc_input = vec![legacy];
-    crc_input.extend_from_slice(&payload);
-    forged.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    let err = read_frame::<_, ProtocolConfig>(&mut Cursor::new(&forged)).unwrap_err();
-    assert_eq!(
-        err,
-        WireError::SchemaMismatch {
-            found: legacy,
-            supported: WIRE_SCHEMA
-        }
-    );
+    for legacy in 1..WIRE_SCHEMA {
+        let length = 1 + payload.len() + 4;
+        let mut forged = Vec::new();
+        forged.extend_from_slice(&(length as u32).to_le_bytes());
+        forged.push(legacy);
+        forged.extend_from_slice(&payload);
+        let mut crc_input = vec![legacy];
+        crc_input.extend_from_slice(&payload);
+        forged.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+        let err = read_frame::<_, ProtocolConfig>(&mut Cursor::new(&forged)).unwrap_err();
+        assert_eq!(
+            err,
+            WireError::SchemaMismatch {
+                found: legacy,
+                supported: WIRE_SCHEMA
+            }
+        );
+    }
     // Sanity: the same payload framed by the current writer reads back.
     let mut current = Vec::new();
     write_frame(&mut current, &ProtocolConfig::test_default()).unwrap();
@@ -291,26 +278,6 @@ fn random_scenario_plans_round_trip_bit_exactly() {
             seed: rng.gen(),
         };
         assert_eq!(from_bytes::<ScenarioPlan>(&to_bytes(&plan)).unwrap(), plan);
-    }
-}
-
-/// Back-compat: a pre-scenario peer sends a bare `FaultPlan` where a
-/// `ScenarioPlan` now travels (the node handshake).  Such frames decode to
-/// the benign scenario carrying those faults — old coordinators keep
-/// working against new parties.
-#[test]
-fn legacy_fault_plan_frames_decode_to_benign_scenarios() {
-    let mut rng = rng(18);
-    for _ in 0..100 {
-        let faults = FaultPlan {
-            dropout_fraction: rng.gen(),
-            stragglers: rng.gen(),
-            seed: rng.gen(),
-        };
-        let scenario: ScenarioPlan = from_bytes(&to_bytes(&faults)).unwrap();
-        assert_eq!(scenario.faults, faults);
-        assert_eq!(scenario.adversary, AdversaryModel::None);
-        assert_eq!(scenario.seed, 0);
     }
 }
 

@@ -30,8 +30,12 @@ use std::io::{Read, Write};
 /// the protocol configuration and added the `MergedSupports` cohort
 /// payload to the round messages — a pre-topology peer can neither merge
 /// nor unpack cohort frames, so it must fail its first frame rather than
-/// mis-aggregate.
-pub const WIRE_SCHEMA: u8 = 5;
+/// mis-aggregate; schema 6 (0.10) dropped the execution-mode field from the
+/// protocol configuration (the chunk size became a local engine setting)
+/// and retired the scalar frequency-oracle path's discriminant, so its
+/// decoders no longer accept the pre-topology or pre-scenario payload
+/// layouts either.
+pub const WIRE_SCHEMA: u8 = 6;
 
 /// The largest frame a reader will accept, in bytes (schema + payload +
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.

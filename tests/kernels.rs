@@ -1,22 +1,22 @@
-//! Kernel-equivalence suite: the CI matrix gate for the three pinned FO
+//! Kernel-equivalence suite: the CI matrix gate for the two pinned FO
 //! execution paths.
 //!
 //! The `kernel-equivalence` CI job runs this file under every combination
-//! of `FEDHH_TEST_PARALLELISM={1,8}` × `FEDHH_TEST_FO_EXEC={scalar,
-//! batched,vectorized}`.  Three guarantees are enforced:
+//! of `FEDHH_TEST_PARALLELISM={1,8}` × `FEDHH_TEST_FO_EXEC={batched,
+//! vectorized}`.  Three guarantees are enforced:
 //!
 //! 1. **The selected path is invariant** across chunk sizes
 //!    {1, 7, 64, usize::MAX} × parallelism {1, 8} and under the env-driven
 //!    default engine — for every mechanism, bit-for-bit.
-//! 2. **Scalar/Batched are byte-stable against pinned seed baselines**: a
-//!    digest of each mechanism's full output must equal the committed
-//!    constant, so no refactor can silently move the sequential RNG stream.
+//! 2. **Batched is byte-stable against pinned seed baselines**: a digest
+//!    of each mechanism's full output must equal the committed constant,
+//!    so no refactor can silently move the sequential RNG stream.
 //! 3. **Vectorized is deterministic and pinned separately**: same seed →
 //!    same digest on repeat runs, and the digest differs from the
-//!    sequential paths' (it is a third stream, not a reordering).
+//!    sequential path's (it is a second stream, not a reordering).
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
-use fedhh_federated::{EngineConfig, ExecMode, FoExec, ProtocolConfig};
+use fedhh_federated::{EngineConfig, FoExec, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
 use std::num::NonZeroUsize;
 
@@ -104,11 +104,10 @@ fn selected_path_is_invariant_across_chunking_and_parallelism() {
         );
         for parallelism in [1usize, 8] {
             for chunk in [1usize, 7, 64, usize::MAX] {
-                let engine = EngineConfig::parallel(parallelism);
-                let cfg = config(exec)
-                    .with_exec_mode(ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()));
+                let engine = EngineConfig::parallel(parallelism)
+                    .chunk_size(NonZeroUsize::new(chunk).unwrap());
                 assert_eq!(
-                    digest(&run(kind, &ds, cfg, Some(engine))),
+                    digest(&run(kind, &ds, config(exec), Some(engine))),
                     baseline,
                     "{kind}/{exec}: chunk {chunk} x parallelism {parallelism} diverged"
                 );
@@ -117,11 +116,11 @@ fn selected_path_is_invariant_across_chunking_and_parallelism() {
     }
 }
 
-/// Per-mechanism pinned digests of the two sequential paths on the seeded
+/// Per-mechanism pinned digests of the sequential path on the seeded
 /// test-scale dataset.  These constants are the "seed baseline": any change
-/// here means the Scalar/Batched RNG stream moved, which is a compatibility
-/// break for pinned experiments and must be deliberate (see
-/// ARCHITECTURE.md, "Determinism and bit-identity").
+/// here means the Batched RNG stream moved, which is a compatibility break
+/// for pinned experiments and must be deliberate (see ARCHITECTURE.md,
+/// "Determinism and bit-identity").
 const SEQUENTIAL_DIGESTS: [(MechanismKind, u64); 4] = [
     (MechanismKind::FedPem, 0x1BC7_1BBD_2A55_8C43),
     (MechanismKind::Gtf, 0xF77A_2542_A3FC_8295),
@@ -129,32 +128,26 @@ const SEQUENTIAL_DIGESTS: [(MechanismKind, u64); 4] = [
     (MechanismKind::Taps, 0xCF29_ADEC_9E8F_2132),
 ];
 
-/// Guarantee 2: Scalar and Batched reproduce the committed seed baselines
-/// byte-for-byte (they share one digest — the batch contract makes Batched
-/// a bit-identical reordering of Scalar's work, not a new stream).
+/// Guarantee 2: Batched reproduces the committed seed baselines
+/// byte-for-byte (the batch contract makes it a bit-identical reordering
+/// of the oracles' scalar `perturb` loop, proven per oracle in
+/// `crates/fo/tests/properties.rs`).
 #[test]
 fn sequential_paths_match_the_pinned_seed_baselines() {
     let ds = dataset();
     for (kind, pin) in SEQUENTIAL_DIGESTS {
-        let scalar = digest(&run(
-            kind,
-            &ds,
-            config(FoExec::Scalar),
-            Some(EngineConfig::sequential()),
-        ));
         let batched = digest(&run(
             kind,
             &ds,
             config(FoExec::Batched),
             Some(EngineConfig::sequential()),
         ));
-        assert_eq!(scalar, pin, "{kind}: scalar digest {scalar:#018X} moved");
         assert_eq!(batched, pin, "{kind}: batched digest {batched:#018X} moved");
     }
 }
 
 /// Guarantee 3: Vectorized is deterministic per seed and is genuinely a
-/// third pinned stream — its digest repeats exactly and differs from the
+/// second pinned stream — its digest repeats exactly and differs from the
 /// sequential baseline for at least one mechanism.
 #[test]
 fn vectorized_path_is_deterministic_and_pinned_separately() {

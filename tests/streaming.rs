@@ -5,14 +5,15 @@
 //! 1. **Chunked execution is bit-identical to the eager path**: for every
 //!    mechanism, the same seed produces the same `MechanismOutput` (heavy
 //!    hitters, counts bit-for-bit, uplink accounting) across chunk sizes
-//!    {1, 7, 64, usize::MAX} × parallelism {1, 8}, whether configured via
-//!    `ProtocolConfig::exec_mode` or `EngineConfig::chunk_size`.
+//!    {1, 7, 64, usize::MAX} × parallelism {1, 8}, pinned via
+//!    `EngineConfig::chunk_size`, and the automatic chunk rule matches the
+//!    eager path.
 //! 2. **Streamed datasets equal eager datasets**: for every `DatasetKind`,
 //!    `build_streamed` regenerates exactly the item sequences `build`
 //!    materializes, and mechanisms produce identical outputs over either.
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
-use fedhh_federated::{EngineConfig, ExecMode, ProtocolConfig};
+use fedhh_federated::{EngineConfig, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
 use std::num::NonZeroUsize;
 
@@ -24,6 +25,11 @@ fn config() -> ProtocolConfig {
         granularity: 8,
         ..ProtocolConfig::default()
     }
+}
+
+/// The engine that buffers each level group whole.
+fn eager() -> EngineConfig {
+    EngineConfig::sequential().chunk_size(NonZeroUsize::MAX)
 }
 
 fn run(
@@ -77,17 +83,16 @@ fn assert_outputs_identical(a: &MechanismOutput, b: &MechanismOutput, what: &str
 #[test]
 fn chunked_execution_is_bit_identical_across_chunk_sizes_and_parallelism() {
     let dataset = DatasetConfig::test_scale().build(DatasetKind::Rdb);
-    let eager_config = config().with_exec_mode(ExecMode::Eager);
     for kind in MechanismKind::ALL {
-        let reference = run(kind, &dataset, eager_config, EngineConfig::sequential());
+        let reference = run(kind, &dataset, config(), eager());
         for chunk in [1usize, 7, 64, usize::MAX] {
-            let exec_mode = ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap());
+            let chunk = NonZeroUsize::new(chunk).unwrap();
             for parallelism in [1usize, 8] {
                 let got = run(
                     kind,
                     &dataset,
-                    config().with_exec_mode(exec_mode),
-                    EngineConfig::parallel(parallelism),
+                    config(),
+                    EngineConfig::parallel(parallelism).chunk_size(chunk),
                 );
                 assert_outputs_identical(
                     &reference,
@@ -99,38 +104,14 @@ fn chunked_execution_is_bit_identical_across_chunk_sizes_and_parallelism() {
     }
 }
 
-/// `EngineConfig::chunk_size` pins the same invariant from the engine axis.
-#[test]
-fn engine_chunk_size_matches_protocol_exec_mode() {
-    let dataset = DatasetConfig::test_scale().build(DatasetKind::Ycm);
-    let chunk = NonZeroUsize::new(13).unwrap();
-    let via_config = run(
-        MechanismKind::Taps,
-        &dataset,
-        config().with_exec_mode(ExecMode::Chunked(chunk)),
-        EngineConfig::sequential(),
-    );
-    let via_engine = run(
-        MechanismKind::Taps,
-        &dataset,
-        config(),
-        EngineConfig::sequential().chunk_size(chunk),
-    );
-    assert_outputs_identical(&via_config, &via_engine, "engine chunk_size");
-}
-
-/// `Auto` defaults to the current (eager) behaviour at test scale.
+/// Without a pinned chunk size the estimator buffers whole level groups at
+/// test scale (every group is below the automatic threshold).
 #[test]
 fn auto_mode_matches_eager_at_test_scale() {
     let dataset = DatasetConfig::test_scale().build(DatasetKind::Rdb);
     for kind in MechanismKind::ALL {
         let auto = run(kind, &dataset, config(), EngineConfig::sequential());
-        let eager = run(
-            kind,
-            &dataset,
-            config().with_exec_mode(ExecMode::Eager),
-            EngineConfig::sequential(),
-        );
+        let eager = run(kind, &dataset, config(), eager());
         assert_outputs_identical(&auto, &eager, &format!("{kind} auto-vs-eager"));
     }
 }
