@@ -39,9 +39,11 @@
 
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
-use crate::stream::ChurnGen;
+use crate::stream::{ChurnGen, ItemStream};
+use crate::zipf::SamplingTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// How a population evolves between epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,37 +68,35 @@ impl EvolutionPlan {
     }
 }
 
-/// Per-party resample pool: the base popularity ranking and its CDF.
+/// Per-party resample pool: the base popularity ranking and its sampling
+/// table, built once and shared by every churn layer of every epoch.
 #[derive(Debug, Clone)]
 struct PartyPool {
     /// Base popularity-ranked item codes (`codes[rank]`).
     codes: Vec<u64>,
-    /// Cumulative distribution over ranks, from the base counts.
-    cdf: Vec<f64>,
+    /// Sampling table over ranks, from the base counts.
+    table: Arc<SamplingTable>,
 }
 
 impl PartyPool {
-    fn from_party(party: &PartyData) -> Self {
+    /// The pool of `party`'s base items; `None` for a party without users,
+    /// whose every epoch is empty.
+    fn from_party(party: &PartyData) -> Option<Self> {
         let ranked = party.frequency_table().ranked();
+        if ranked.is_empty() {
+            return None;
+        }
         let codes: Vec<u64> = ranked.iter().map(|(code, _)| *code).collect();
-        let total: f64 = ranked.iter().map(|(_, count)| *count as f64).sum();
-        let mut acc = 0.0;
-        let cdf: Vec<f64> = ranked
-            .iter()
-            .map(|(_, count)| {
-                acc += *count as f64 / total;
-                acc
-            })
-            .collect();
-        Self { codes, cdf }
+        let counts: Vec<f64> = ranked.iter().map(|(_, count)| *count as f64).collect();
+        Some(Self {
+            codes,
+            table: Arc::new(SamplingTable::cumulative(&counts)),
+        })
     }
 
     /// The pool drifted to `epoch`: rank weights stay, the rank→code
     /// mapping rotates by `stride · epoch` positions.
     fn drifted(&self, stride: usize, epoch: u32) -> Vec<u64> {
-        if self.codes.is_empty() {
-            return Vec::new();
-        }
         let shift = (stride * epoch as usize) % self.codes.len();
         let mut codes = Vec::with_capacity(self.codes.len());
         codes.extend_from_slice(&self.codes[shift..]);
@@ -110,7 +110,7 @@ impl PartyPool {
 pub struct PopulationEvolver {
     base: FederatedDataset,
     plan: EvolutionPlan,
-    pools: Vec<PartyPool>,
+    pools: Vec<Option<PartyPool>>,
 }
 
 impl PopulationEvolver {
@@ -150,8 +150,9 @@ impl PopulationEvolver {
     }
 
     /// The population at epoch `epoch`: the base dataset with `epoch` churn
-    /// layers applied.  `epoch(0)` is the base unchanged.  Construction is
-    /// `O(epoch · parties)` handle work; no item vector is materialized.
+    /// layers applied.  `epoch(0)` is the base unchanged.  Each layer
+    /// copies its party's drifted code pool and shares the pool's sampling
+    /// table; no item vector is materialized and no table is rebuilt.
     pub fn epoch(&self, epoch: u32) -> FederatedDataset {
         if epoch == 0 {
             return self.base.clone();
@@ -163,18 +164,18 @@ impl PopulationEvolver {
             .enumerate()
             .map(|(p, party)| {
                 let mut stream = party.stream();
-                for e in 1..=epoch {
-                    let (decide, resample) = self.transition_rngs(e, p);
-                    let codes = self.pools[p].drifted(self.plan.drift_stride, e);
-                    let cdf = self.pools[p].cdf.clone();
-                    stream = crate::stream::ItemStream::from_churn(ChurnGen::new(
-                        stream,
-                        codes,
-                        cdf,
-                        self.plan.churn_fraction,
-                        decide,
-                        resample,
-                    ));
+                if let Some(pool) = &self.pools[p] {
+                    for e in 1..=epoch {
+                        let (decide, resample) = self.transition_rngs(e, p);
+                        stream = ItemStream::from_churn(ChurnGen::new(
+                            stream,
+                            pool.drifted(self.plan.drift_stride, e),
+                            Arc::clone(&pool.table),
+                            self.plan.churn_fraction,
+                            decide,
+                            resample,
+                        ));
+                    }
                 }
                 PartyData::from_stream(party.name(), stream, party.code_bits())
             })
@@ -281,6 +282,25 @@ mod tests {
         let top_frozen = frozen.epoch(1).ground_truth_top_k(5);
         let top_drifted = drifted.epoch(1).ground_truth_top_k(5);
         assert_ne!(top_frozen, top_drifted);
+    }
+
+    #[test]
+    fn parties_without_users_stay_empty() {
+        let base = DatasetConfig::test_scale().build(DatasetKind::Syn);
+        let mut parties = base.parties().to_vec();
+        parties[1] = parties[1].take_users(0);
+        let base = FederatedDataset::new("SYN-gap", parties, base.code_bits(), *base.encoder());
+        let plan = EvolutionPlan {
+            churn_fraction: 0.5,
+            drift_stride: 1,
+            seed: 1,
+        };
+        let ev = PopulationEvolver::new(base, plan);
+        let e2 = ev.epoch(2);
+        assert_eq!(e2.parties()[1].user_count(), 0);
+        assert!(e2.parties()[1].stream().materialize().is_empty());
+        assert!(ev.fresh_mask(2, 1).is_empty());
+        assert_eq!(e2.total_users(), ev.base().total_users());
     }
 
     #[test]

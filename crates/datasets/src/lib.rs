@@ -50,4 +50,4 @@ pub use poisson::PoissonWeights;
 pub use registry::{DatasetConfig, DatasetKind, ParseDatasetKindError};
 pub use stats::{global_top_k, FrequencyTable};
 pub use stream::{ChurnGen, ItemGen, ItemStream, PartyChunks, DEFAULT_CHUNK_SIZE};
-pub use zipf::ZipfSampler;
+pub use zipf::{SamplingTable, ZipfSampler};

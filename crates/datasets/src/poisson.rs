@@ -6,13 +6,13 @@
 //! comparable frequencies around rank λ, which stresses the mechanisms'
 //! ability to separate near-ties under LDP noise.
 
-use crate::zipf::{cumulative, sample_cdf};
+use crate::zipf::SamplingTable;
 use rand::Rng;
 
 /// A sampler over ranks `0..n` weighted by the Poisson(λ) pmf.
 #[derive(Debug, Clone)]
 pub struct PoissonWeights {
-    cdf: Vec<f64>,
+    table: SamplingTable,
     lambda: f64,
 }
 
@@ -23,7 +23,7 @@ impl PoissonWeights {
         assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive");
         let weights: Vec<f64> = (0..n).map(|r| poisson_pmf(r, lambda)).collect();
         Self {
-            cdf: cumulative(&weights),
+            table: SamplingTable::cumulative(&weights),
             lambda,
         }
     }
@@ -35,33 +35,29 @@ impl PoissonWeights {
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.table.len()
     }
 
     /// True when the sampler has no ranks (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.table.is_empty()
     }
 
     /// Probability of rank `r` after normalization over `0..n`.
     pub fn probability(&self, r: usize) -> f64 {
-        if r >= self.cdf.len() {
-            return 0.0;
-        }
-        let prev = if r == 0 { 0.0 } else { self.cdf[r - 1] };
-        self.cdf[r] - prev
+        self.table.probability(r)
     }
 
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_cdf(&self.cdf, rng)
+        self.table.sample(rng)
     }
 
-    /// Consumes the sampler, returning its cumulative distribution (used by
-    /// the streaming dataset generators, which sample the CDF directly so a
+    /// Consumes the sampler, returning its sampling table (used by the
+    /// streaming dataset generators, which sample the table directly so a
     /// party's item sequence can be regenerated chunk by chunk).
-    pub fn into_cdf(self) -> Vec<f64> {
-        self.cdf
+    pub fn into_table(self) -> SamplingTable {
+        self.table
     }
 }
 

@@ -21,7 +21,7 @@
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
 use crate::stream::ItemGen;
-use crate::zipf::ZipfSampler;
+use crate::zipf::{SamplingTable, ZipfSampler};
 use fedhh_trie::ItemEncoder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -114,13 +114,13 @@ pub fn generate_group_streamed(
 pub(crate) fn finish_party(
     name: String,
     codes: Vec<u64>,
-    cdf: Vec<f64>,
+    table: SamplingTable,
     users: usize,
     code_bits: u8,
     rng: &mut StdRng,
     streamed: bool,
 ) -> PartyData {
-    let gen = ItemGen::new(codes, cdf, rng.clone(), users);
+    let gen = ItemGen::new(codes, table, rng.clone(), users);
     if streamed {
         // One RNG word per item: skip the draws the eager path would make.
         for _ in 0..users {
@@ -171,7 +171,7 @@ fn build_group(
         parties.push(finish_party(
             format!("{}/{}", spec.name, pspec.name),
             codes,
-            sampler.into_cdf(),
+            sampler.into_table(),
             users,
             scale.code_bits,
             &mut rng,

@@ -5,13 +5,13 @@
 //! party — and again in every group buffer downstream — dominates memory.
 //! [`ItemStream`] is the abstraction that breaks that coupling: a
 //! *deterministic, re-iterable* stream of one party's item codes, consumed
-//! in fixed-size chunks through [`PartyChunks`], with two backings:
+//! in fixed-size chunks through [`PartyChunks`], with four backings:
 //!
 //! * **Eager** — a materialized `Vec<u64>` (what [`crate::PartyData`] holds
 //!   after a regular [`crate::DatasetConfig::build`]); chunks are plain
 //!   sub-slices.
 //! * **Generated** — the dataset generator's per-party state (popularity
-//!   ranking, sampling CDF and the pinned RNG state at the head of the
+//!   ranking, sampling table and the pinned RNG state at the head of the
 //!   party's sampling sequence); each chunk is regenerated on the fly and
 //!   dropped, so resident memory is `O(chunk)`, not `O(users)`.
 //! * **Churned** — an epoch transition layered over an inner stream
@@ -24,11 +24,12 @@
 //!   Sybil adversaries rewrite a compromised party's items without
 //!   materializing them.
 //!
-//! Both backings yield **bit-identical** sequences: the generated stream
-//! replays exactly the draws the eager build performed (one RNG word per
-//! user), so `stream.materialize()` equals the eager `items()` vector for
-//! the same dataset spec and seed.  The equality is enforced per
-//! [`crate::DatasetKind`] by `tests/streaming.rs`.
+//! Every backing is deterministic, re-iterable and chunk-size independent,
+//! and a dataset's Generated streams are **bit-identical** to its Eager
+//! build: the generated stream replays exactly the draws the eager build
+//! performed (one RNG word per user), so `stream.materialize()` equals the
+//! eager `items()` vector for the same dataset spec and seed.  The
+//! equality is enforced per [`crate::DatasetKind`] by `tests/streaming.rs`.
 //!
 //! ```
 //! use fedhh_datasets::{DatasetConfig, DatasetKind};
@@ -48,7 +49,7 @@
 //! assert_eq!(stream.materialize(), seen); // streams are re-iterable
 //! ```
 
-use crate::zipf::sample_cdf;
+use crate::zipf::SamplingTable;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -69,8 +70,8 @@ pub const DEFAULT_CHUNK_SIZE: usize = 16_384;
 pub struct ItemGen {
     /// Popularity-ranked, pre-encoded item codes (`codes[rank]`).
     codes: Arc<Vec<u64>>,
-    /// Cumulative distribution over ranks (`cdf[rank] = P(r <= rank)`).
-    cdf: Arc<Vec<f64>>,
+    /// Sampling table over ranks (`cdf[rank] = P(r <= rank)`).
+    table: Arc<SamplingTable>,
     /// RNG state at the head of the party's sampling sequence.
     rng: StdRng,
     /// Number of users (items) in the stream.
@@ -78,14 +79,17 @@ pub struct ItemGen {
 }
 
 impl ItemGen {
-    /// Creates a generator from the ranked code pool, its sampling CDF and
-    /// the RNG state at the head of the sequence.
-    pub fn new(codes: Vec<u64>, cdf: Vec<f64>, rng: StdRng, len: usize) -> Self {
-        assert_eq!(codes.len(), cdf.len(), "one CDF entry per ranked item code");
-        assert!(!codes.is_empty() || len == 0, "non-empty pool required");
+    /// Creates a generator from the ranked code pool, its sampling table
+    /// and the RNG state at the head of the sequence.
+    pub fn new(codes: Vec<u64>, table: SamplingTable, rng: StdRng, len: usize) -> Self {
+        assert_eq!(
+            codes.len(),
+            table.len(),
+            "one CDF entry per ranked item code"
+        );
         Self {
             codes: Arc::new(codes),
-            cdf: Arc::new(cdf),
+            table: Arc::new(table),
             rng,
             len,
         }
@@ -96,7 +100,7 @@ impl ItemGen {
     pub(crate) fn fill_into(&self, rng: &mut StdRng, buf: &mut Vec<u64>, count: usize) {
         buf.reserve(count);
         for _ in 0..count {
-            buf.push(self.codes[sample_cdf(&self.cdf, rng)]);
+            buf.push(self.codes[self.table.sample(rng)]);
         }
     }
 
@@ -104,7 +108,7 @@ impl ItemGen {
     fn truncated(&self, len: usize) -> Self {
         Self {
             codes: Arc::clone(&self.codes),
-            cdf: Arc::clone(&self.cdf),
+            table: Arc::clone(&self.table),
             rng: self.rng.clone(),
             len: len.min(self.len),
         }
@@ -136,8 +140,9 @@ pub struct ChurnGen {
     inner: Box<ItemStream>,
     /// Popularity-ranked resample pool for fresh users (`codes[rank]`).
     codes: Arc<Vec<u64>>,
-    /// Cumulative distribution over pool ranks.
-    cdf: Arc<Vec<f64>>,
+    /// Sampling table over pool ranks, shared by every layer drawn from
+    /// the same pool.
+    table: Arc<SamplingTable>,
     /// Fraction of user slots churned per epoch, in `[0, 1]`.
     fraction: f64,
     /// RNG deciding, per slot, whether the user churns (one draw each).
@@ -151,16 +156,16 @@ pub struct ChurnGen {
 impl ChurnGen {
     /// Layers churn over `inner`: each user slot churns with probability
     /// `fraction`, drawing its replacement item from the ranked
-    /// `codes`/`cdf` pool.
+    /// `codes`/`table` pool.
     ///
     /// # Panics
     ///
-    /// Panics when `fraction` is outside `[0, 1]`, when `codes` and `cdf`
-    /// differ in length, or when the pool is empty while `fraction > 0`.
+    /// Panics when `fraction` is outside `[0, 1]`, or when `codes` and
+    /// `table` differ in length.
     pub fn new(
         inner: ItemStream,
         codes: Vec<u64>,
-        cdf: Vec<f64>,
+        table: Arc<SamplingTable>,
         fraction: f64,
         decide: StdRng,
         resample: StdRng,
@@ -169,16 +174,16 @@ impl ChurnGen {
             (0.0..=1.0).contains(&fraction),
             "churn fraction must be in [0, 1], got {fraction}"
         );
-        assert_eq!(codes.len(), cdf.len(), "one CDF entry per ranked item code");
-        assert!(
-            !codes.is_empty() || fraction == 0.0 || inner.is_empty(),
-            "non-empty resample pool required when churn is possible"
+        assert_eq!(
+            codes.len(),
+            table.len(),
+            "one CDF entry per ranked item code"
         );
         let len = inner.len();
         Self {
             inner: Box::new(inner),
             codes: Arc::new(codes),
-            cdf: Arc::new(cdf),
+            table,
             fraction,
             decide,
             resample,
@@ -202,7 +207,7 @@ impl ChurnGen {
         buf.reserve(chunk.len());
         for &item in chunk {
             if decide.gen::<f64>() < self.fraction {
-                buf.push(self.codes[sample_cdf(&self.cdf, resample)]);
+                buf.push(self.codes[self.table.sample(resample)]);
             } else {
                 buf.push(item);
             }
@@ -215,7 +220,7 @@ impl ChurnGen {
         Self {
             inner: Box::new(self.inner.take(len)),
             codes: Arc::clone(&self.codes),
-            cdf: Arc::clone(&self.cdf),
+            table: Arc::clone(&self.table),
             fraction: self.fraction,
             decide: self.decide.clone(),
             resample: self.resample.clone(),
@@ -342,6 +347,17 @@ impl ItemStream {
         match &self.backing {
             Backing::Churned(gen) => Some(gen),
             _ => None,
+        }
+    }
+
+    /// The sampling table this stream's own backing draws from: the item
+    /// pool of a generated stream, the resample pool of a churn layer.
+    #[cfg(test)]
+    pub(crate) fn sampling_table(&self) -> Option<&SamplingTable> {
+        match &self.backing {
+            Backing::Generated(gen) => Some(&gen.table),
+            Backing::Churned(gen) => Some(&gen.table),
+            Backing::Eager(_) | Backing::Mapped(_) => None,
         }
     }
 
@@ -546,9 +562,9 @@ mod tests {
         // A 4-code pool with a fixed CDF; the reference sequence is what a
         // single uninterrupted pass over the same RNG produces.
         let codes = vec![10, 20, 30, 40];
-        let cdf = vec![0.25, 0.5, 0.75, 1.0];
+        let table = SamplingTable::from_cdf(vec![0.25, 0.5, 0.75, 1.0]);
         let rng = StdRng::seed_from_u64(99);
-        let gen = ItemGen::new(codes.clone(), cdf.clone(), rng.clone(), len);
+        let gen = ItemGen::new(codes.clone(), table, rng.clone(), len);
         let mut reference = Vec::new();
         let mut r = rng;
         gen.fill_into(&mut r, &mut reference, len);
@@ -630,7 +646,7 @@ mod tests {
         ItemStream::from_churn(ChurnGen::new(
             inner,
             vec![100, 200, 300],
-            vec![0.5, 0.8, 1.0],
+            Arc::new(SamplingTable::from_cdf(vec![0.5, 0.8, 1.0])),
             fraction,
             StdRng::seed_from_u64(7),
             StdRng::seed_from_u64(8),

@@ -187,10 +187,10 @@ fn build_syn(
         domain.shuffle(&mut rng);
 
         let users = ((spec.users as f64) * config.user_scale).round().max(50.0) as usize;
-        let cdf = match spec.profile {
-            FrequencyProfile::Zipf(alpha) => ZipfSampler::new(domain.len(), alpha).into_cdf(),
+        let table = match spec.profile {
+            FrequencyProfile::Zipf(alpha) => ZipfSampler::new(domain.len(), alpha).into_table(),
             FrequencyProfile::Poisson(lambda) => {
-                PoissonWeights::new(domain.len(), lambda).into_cdf()
+                PoissonWeights::new(domain.len(), lambda).into_table()
             }
         };
         // Pre-encode the allocated domain once; sampling then indexes
@@ -200,7 +200,7 @@ fn build_syn(
         out_parties.push(finish_party(
             format!("SYN/{}", spec.name),
             codes,
-            cdf,
+            table,
             users,
             config.code_bits,
             &mut rng,

@@ -12,7 +12,9 @@
 //!    `build_streamed` regenerates exactly the item sequences `build`
 //!    materializes, and mechanisms produce identical outputs over either.
 
-use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
+use fedhh_datasets::{
+    DatasetConfig, DatasetKind, EvolutionPlan, FederatedDataset, PopulationEvolver,
+};
 use fedhh_federated::{EngineConfig, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
 use std::num::NonZeroUsize;
@@ -208,6 +210,56 @@ fn eager_item_sequences_match_the_pre_0_6_generators() {
         }
         assert_eq!(hash, want, "{kind}: eager item sequence diverged from 0.5");
     }
+}
+
+/// FNV-1a over every party's item sequence, in party order.
+fn sequence_digest(dataset: &FederatedDataset) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for party in dataset.parties() {
+        party.stream().for_each(|item| {
+            hash ^= item;
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        });
+    }
+    hash
+}
+
+/// Full-size item pools (`item_scale` 1.0, up to ~167k ranks per party)
+/// with few users, so the sampler is pinned where its CDFs are wide.
+fn wide_pools() -> DatasetConfig {
+    DatasetConfig {
+        user_scale: 0.002,
+        ..DatasetConfig::paper_scale()
+    }
+}
+
+/// The item sequences over full-size pools, captured from the
+/// binary-search sampler that preceded the guide-table one.
+#[test]
+fn wide_pool_item_sequences_match_the_binary_search_sampler() {
+    let expected: [(DatasetKind, u64); 5] = [
+        (DatasetKind::Rdb, 0xa4e0_7427_9237_8c85),
+        (DatasetKind::Ycm, 0x160e_6559_4ebc_15f1),
+        (DatasetKind::Tys, 0x57b8_0abe_8cd9_afa6),
+        (DatasetKind::Uba, 0x8946_a725_9e4b_6515),
+        (DatasetKind::Syn, 0x4a42_345e_b12c_69f9),
+    ];
+    let got = expected.map(|(kind, _)| (kind, sequence_digest(&wide_pools().build_streamed(kind))));
+    assert_eq!(got, expected, "wide-pool item sequences diverged");
+}
+
+/// Epoch 3 of an evolving population over full-size pools: three churn
+/// layers, each resampling from the drifted base pool.
+#[test]
+fn wide_pool_epoch_streams_match_the_binary_search_sampler() {
+    let plan = EvolutionPlan {
+        churn_fraction: 0.2,
+        drift_stride: 1,
+        seed: 7,
+    };
+    let evolver = PopulationEvolver::new(wide_pools().build_streamed(DatasetKind::Uba), plan);
+    let digest = sequence_digest(&evolver.epoch(3));
+    assert_eq!(digest, 0xe344_a013_52e9_9c31, "epoch-3 stream diverged");
 }
 
 /// `paper_scale` carries the paper's parameters.
