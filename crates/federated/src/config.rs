@@ -2,6 +2,7 @@
 
 use crate::error::ProtocolError;
 use crate::topology::{QuorumPolicy, Topology};
+use fedhh_fo::hash::olh_buckets;
 use fedhh_fo::{FoKind, PrivacyBudget};
 use fedhh_trie::LevelSchedule;
 
@@ -215,7 +216,9 @@ impl ProtocolConfig {
         if self.k == 0 {
             return Err(ProtocolError::InvalidQuery { k: self.k });
         }
-        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+        // OLH hashes onto d' = ⌈e^ε⌉ + 1 buckets, which must fit in a u32.
+        let olh_overflows = self.fo == FoKind::Olh && olh_buckets(self.epsilon.exp()).is_none();
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) || olh_overflows {
             return Err(ProtocolError::InvalidBudget {
                 epsilon: self.epsilon,
             });
@@ -419,6 +422,23 @@ mod tests {
                 Err(ProtocolError::InvalidBudget { .. })
             ));
         }
+    }
+
+    #[test]
+    fn olh_budgets_whose_bucket_count_overflows_are_invalid() {
+        let config = |fo, epsilon| ProtocolConfig {
+            fo,
+            epsilon,
+            ..Default::default()
+        };
+        assert_eq!(
+            config(FoKind::Olh, 22.2).validate(),
+            Err(ProtocolError::InvalidBudget { epsilon: 22.2 })
+        );
+        assert!(config(FoKind::Olh, 22.1).validate().is_ok());
+        // k-RR and OUE have no hash range to overflow.
+        assert!(config(FoKind::Grr, 22.2).validate().is_ok());
+        assert!(config(FoKind::Oue, 22.2).validate().is_ok());
     }
 
     #[test]

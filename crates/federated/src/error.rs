@@ -19,7 +19,8 @@ pub enum ProtocolError {
         /// The rejected query size.
         k: usize,
     },
-    /// The privacy budget ε must be strictly positive and finite.
+    /// The privacy budget ε must be strictly positive and finite, and small
+    /// enough that OLH's d' = ⌈e^ε⌉ + 1 buckets fit in a `u32`.
     InvalidBudget {
         /// The rejected budget.
         epsilon: f64,
@@ -127,7 +128,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::InvalidBudget { epsilon } => {
                 write!(
                     f,
-                    "privacy budget must be positive and finite, got {epsilon}"
+                    "privacy budget must be positive and finite (and below 22.18 for OLH), got {epsilon}"
                 )
             }
             ProtocolError::InvalidGranularity {

@@ -14,7 +14,7 @@ use crate::budget::PrivacyBudget;
 use crate::ctr::{self, CtrRng};
 use crate::error::FoError;
 use crate::estimate::{oue_variance, FrequencyEstimate, SupportCounts};
-use crate::hash::{olh_buckets, UniversalHash};
+use crate::hash::{olh_buckets, BucketTest, UniversalHash};
 use crate::oracle::FrequencyOracle;
 use crate::report::Report;
 use rand::Rng;
@@ -66,12 +66,84 @@ fn vec_boundary(v: u64, buckets: u64) -> u64 {
     (v << 32).div_ceil(buckets)
 }
 
+/// Bucket `v`'s Lemire interval `[lo, lo + span)` of 32-bit hash values,
+/// for `step = ⌊2^32/buckets⌋`; a bucket outside [0, buckets) gets an
+/// empty interval.  One division: `hi = boundary(v+1)` is the least `k`
+/// with `k·buckets ≥ (v+1)·2^32`; `lo + step − 1` falls short of that and
+/// `lo + step + 1` reaches it, so `hi` is `lo + step` or one more.
+#[inline]
+fn vec_interval(v: u64, buckets: u64, step: u64) -> (u32, u32) {
+    if v >= buckets {
+        return (0, 0);
+    }
+    let lo = vec_boundary(v, buckets);
+    let next = lo + step;
+    let hi = next + u64::from(next * buckets < (v + 1) << 32);
+    (lo as u32, (hi - lo) as u32)
+}
+
+/// Adds one support to `counts[x]` for every hashed report whose function
+/// maps candidate `x` onto the reported bucket — the row-oriented support
+/// loop, written once.  [`OlhOracle::aggregate_into`] runs it either as
+/// compiled for the baseline target or through its AVX-512 build
+/// ([`count_supports_avx512`]); both are the same integer-exact source, so
+/// they count the same supports.
+#[inline(always)]
+fn count_supports(reports: &[Report], buckets: u32, test: BucketTest, counts: &mut [f64]) {
+    for report in reports {
+        // A bucket outside [0, d') supports no candidate; skipping it also
+        // keeps `test`'s premise `v < d'`.
+        if let Report::Hashed { seed, value } = *report {
+            if value >= buckets {
+                continue;
+            }
+            let hash = UniversalHash::new(seed, buckets);
+            let value = u64::from(value);
+            for (candidate, slot) in counts.iter_mut().enumerate() {
+                if test.matches(hash.wide(candidate as u64), value) {
+                    *slot += 1.0;
+                }
+            }
+        }
+    }
+}
+
+/// Runs [`count_supports`] compiled with AVX-512 (64-bit vector multiplies
+/// and rotates, eight candidates per instruction) when this CPU has the
+/// features, and returns whether it ran.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn count_supports_avx512(
+    reports: &[Report],
+    buckets: u32,
+    test: BucketTest,
+    counts: &mut [f64],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+    {
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        fn build(reports: &[Report], buckets: u32, test: BucketTest, counts: &mut [f64]) {
+            count_supports(reports, buckets, test, counts);
+        }
+        // SAFETY: `build` has no requirement beyond the three target
+        // features it is compiled with, and all three were detected on
+        // this CPU just above.
+        unsafe { build(reports, buckets, test, counts) };
+        return true;
+    }
+    false
+}
+
 /// The optimized local hashing oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OlhOracle {
     budget: PrivacyBudget,
     domain_size: usize,
     buckets: u32,
+    /// Division-free `hash % buckets == value` for support counting.
+    test: BucketTest,
     /// GRR keep probability over the hashed domain [d'].
     p: f64,
     /// GRR flip probability over the hashed domain [d'].
@@ -80,18 +152,21 @@ pub struct OlhOracle {
 
 impl OlhOracle {
     /// Creates an OLH oracle over a candidate domain with `domain_size`
-    /// slots (including the dummy slot, if any).
+    /// slots (including the dummy slot, if any).  Fails with
+    /// [`FoError::InvalidBudget`] when ε is so large that d' does not fit
+    /// in a `u32`.
     pub fn new(budget: PrivacyBudget, domain_size: usize) -> Result<Self, FoError> {
         if domain_size < 2 {
             return Err(FoError::DomainTooSmall(domain_size));
         }
         let e = budget.exp_epsilon();
-        let buckets = olh_buckets(e);
+        let buckets = olh_buckets(e).ok_or(FoError::InvalidBudget(budget.epsilon()))?;
         let denom = buckets as f64 - 1.0 + e;
         Ok(Self {
             budget,
             domain_size,
             buckets,
+            test: BucketTest::new(buckets),
             p: e / denom,
             q: 1.0 / denom,
         })
@@ -206,13 +281,7 @@ impl FrequencyOracle for OlhOracle {
         // once; the candidate loop then tests membership with one combine
         // (two multiplies) and one compare per (candidate, report) pair.
         let buckets = self.buckets as u64;
-        let interval: Vec<(u32, u32)> = (0..buckets)
-            .map(|v| {
-                let lo = vec_boundary(v, buckets);
-                let hi = vec_boundary(v + 1, buckets);
-                (lo as u32, (hi - lo) as u32)
-            })
-            .collect();
+        let step = (1u64 << 32) / buckets;
         const BLOCK: usize = 256;
         let counts = supports.as_mut_slice();
         let mut pre = [0u32; BLOCK];
@@ -226,9 +295,7 @@ impl FrequencyOracle for OlhOracle {
                 .enumerate()
             {
                 pre[j] = vec_preseed(seed);
-                let (l, s) = interval[value as usize];
-                lo[j] = l;
-                span[j] = s;
+                (lo[j], span[j]) = vec_interval(u64::from(value), buckets, step);
             }
             let (pre, lo, span) = (&pre[..len], &lo[..len], &span[..len]);
             for (candidate, slot) in counts.iter_mut().enumerate() {
@@ -252,20 +319,9 @@ impl FrequencyOracle for OlhOracle {
 
     fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts) {
         debug_assert_eq!(supports.slots(), self.domain_size);
-        // The hash state (one function per report) is constructed once per
-        // report and reused across every candidate; supports are written
-        // straight into the caller-owned accumulator slots.
-        let buckets = self.buckets;
         let counts = supports.as_mut_slice();
-        for report in reports {
-            if let Report::Hashed { seed, value } = report {
-                let hash = UniversalHash::new(*seed, buckets);
-                for (candidate, slot) in counts.iter_mut().enumerate() {
-                    if hash.hash(candidate as u64) == *value {
-                        *slot += 1.0;
-                    }
-                }
-            }
+        if !count_supports_avx512(reports, self.buckets, self.test, counts) {
+            count_supports(reports, self.buckets, self.test, counts);
         }
         supports.record_reports(reports.len());
     }
@@ -356,5 +412,112 @@ mod tests {
     #[test]
     fn rejects_tiny_domains() {
         assert!(OlhOracle::new(PrivacyBudget::new(1.0).unwrap(), 1).is_err());
+    }
+
+    #[test]
+    fn rejects_budgets_whose_bucket_count_overflows() {
+        // d' = ⌈e^ε⌉ + 1 needs more than 32 bits from ε ≈ 22.18 on.
+        for eps in [22.2, 30.0] {
+            let budget = PrivacyBudget::new(eps).unwrap();
+            assert_eq!(
+                OlhOracle::new(budget, 100),
+                Err(FoError::InvalidBudget(eps))
+            );
+        }
+        assert!(OlhOracle::new(PrivacyBudget::new(22.1).unwrap(), 100).is_ok());
+    }
+
+    /// The portable support loop and its AVX-512 build both count exactly
+    /// the supports of the `%`-based definition, over a domain that leaves
+    /// a vector remainder, for odd, even and power-of-two d'.
+    #[test]
+    fn support_loop_builds_match_the_hash_definition() {
+        let domain = 203;
+        let mut avx512_ran = false;
+        for eps in [0.5, 1.0, 1.9, 2.0, 4.0] {
+            let o = oracle(eps, domain);
+            let mut rng = StdRng::seed_from_u64(5);
+            let inputs: Vec<usize> = (0..500).map(|i| (i * 31) % domain).collect();
+            let mut reports = Vec::new();
+            o.perturb_batch(&inputs, &mut rng, &mut reports);
+            // An out-of-range bucket and a foreign report support nothing.
+            reports.push(Report::Hashed {
+                seed: 9,
+                value: o.buckets(),
+            });
+            reports.push(Report::Item(3));
+            let mut want = vec![0.0; domain];
+            for report in &reports {
+                if let Report::Hashed { seed, value } = *report {
+                    let hash = UniversalHash::new(seed, o.buckets());
+                    for (candidate, slot) in want.iter_mut().enumerate() {
+                        if hash.hash(candidate as u64) == value {
+                            *slot += 1.0;
+                        }
+                    }
+                }
+            }
+            let mut portable = vec![0.0; domain];
+            count_supports(&reports, o.buckets, o.test, &mut portable);
+            assert_eq!(portable, want, "eps {eps}: portable");
+            let mut wide = vec![0.0; domain];
+            if count_supports_avx512(&reports, o.buckets, o.test, &mut wide) {
+                avx512_ran = true;
+                assert_eq!(wide, want, "eps {eps}: avx512");
+            }
+        }
+        if !avx512_ran {
+            eprintln!("skipped the AVX-512 build: this CPU lacks avx512f/dq/vl");
+        }
+    }
+
+    /// The one-division interval equals the two-boundary definition, at
+    /// both ends of every tested bucket range.
+    #[test]
+    fn vec_interval_matches_consecutive_boundaries() {
+        for d in [
+            2u64,
+            3,
+            4,
+            7,
+            8,
+            9,
+            56,
+            1000,
+            1 << 20,
+            (1 << 31) + 1,
+            u64::from(u32::MAX),
+        ] {
+            let step = (1u64 << 32) / d;
+            let vs: Vec<u64> = if d <= 4096 {
+                (0..d).collect()
+            } else {
+                (0..2048).chain(d - 2048..d).collect()
+            };
+            for v in vs {
+                let (lo, hi) = (vec_boundary(v, d), vec_boundary(v + 1, d));
+                assert_eq!(
+                    vec_interval(v, d, step),
+                    (lo as u32, (hi - lo) as u32),
+                    "d {d} v {v}"
+                );
+            }
+            assert_eq!(vec_interval(d, d, step), (0, 0));
+        }
+    }
+
+    /// A hashed batch whose bucket lies outside [0, d') is counted as a
+    /// report but supports no candidate on the vectorized path too.
+    #[test]
+    fn vectorized_aggregate_ignores_out_of_range_buckets() {
+        let o = oracle(2.0, 16);
+        let mut batch = ReportBatch::new();
+        let (seeds, values) = batch.hashed_mut();
+        seeds.extend([1, 2, 3]);
+        values.extend([o.buckets(), o.buckets() + 7, u32::MAX]);
+        let mut supports = SupportCounts::zeros(16);
+        o.aggregate_vectorized(&batch, &mut supports);
+        assert_eq!(supports.reports(), 3);
+        assert!(supports.as_slice().iter().all(|&c| c == 0.0));
     }
 }

@@ -236,37 +236,49 @@ fn aggregation_matches_a_scalar_reference() {
         supports
     }
 
+    // ε ∈ {0.5, 1, 1.9, 2, 4} gives OLH d' = 3, 4, 8, 9, 56 (odd, even and
+    // power-of-two bucket counts for its division-free support test); 200
+    // slots run its candidate loop over full vectors and a remainder.
+    let domain = 200usize;
     for kind in FoKind::ALL {
-        for seed in [3u64, 19, 4242] {
-            let domain = 23usize;
-            let budget = PrivacyBudget::new(2.0).unwrap();
+        for (eps, seed) in [0.5, 1.0, 1.9, 2.0, 4.0]
+            .into_iter()
+            .flat_map(|eps| [3u64, 19, 4242].map(|seed| (eps, seed)))
+        {
+            let budget = PrivacyBudget::new(eps).unwrap();
             let oracle = Oracle::new(kind, budget, domain);
             let olh = OlhOracle::new(budget, domain).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut reports = Vec::new();
             let inputs: Vec<usize> = (0..400).map(|i| i % domain).collect();
             oracle.perturb_batch(&inputs, &mut rng, &mut reports);
-            // A foreign report must be counted but contribute no support.
+            // A foreign report, and a hashed report whose bucket lies
+            // outside [0, d'), must be counted but contribute no support.
             reports.push(match kind {
                 FoKind::Grr => Report::Bits(vec![true; domain]),
                 _ => Report::Item(3),
             });
+            reports.push(Report::Hashed {
+                seed,
+                value: olh.buckets(),
+            });
 
             let want = reference(kind, domain, &reports, &olh);
-            assert_eq!(oracle.aggregate(&reports), want, "kind {kind} seed {seed}");
+            let case = format!("kind {kind} eps {eps} seed {seed}");
+            assert_eq!(oracle.aggregate(&reports), want, "{case}");
 
             let mut arena = SupportCounts::zeros(domain);
             oracle.aggregate_into(&reports, &mut arena);
-            assert_eq!(arena, want, "kind {kind} seed {seed} (aggregate_into)");
+            assert_eq!(arena, want, "{case} (aggregate_into)");
 
             // aggregate_into accumulates: a second pass doubles every count.
             oracle.aggregate_into(&reports, &mut arena);
-            assert_eq!(arena.reports(), 2 * want.reports(), "kind {kind}");
+            assert_eq!(arena.reports(), 2 * want.reports(), "{case}");
             for slot in 0..domain {
                 assert_eq!(
                     arena.support(slot),
                     2.0 * want.support(slot),
-                    "kind {kind} slot {slot}"
+                    "{case} slot {slot}"
                 );
             }
         }

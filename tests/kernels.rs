@@ -9,14 +9,16 @@
 //!    {1, 7, 64, usize::MAX} × parallelism {1, 8} and under the env-driven
 //!    default engine — for every mechanism, bit-for-bit.
 //! 2. **Batched is byte-stable against pinned seed baselines**: a digest
-//!    of each mechanism's full output must equal the committed constant,
-//!    so no refactor can silently move the sequential RNG stream.
+//!    of each mechanism's full output, under k-RR and under OLH and OUE,
+//!    must equal the committed constant, so no refactor can silently move
+//!    the sequential RNG stream or an oracle's support counting.
 //! 3. **Vectorized is deterministic and pinned separately**: same seed →
 //!    same digest on repeat runs, and the digest differs from the
 //!    sequential path's (it is a second stream, not a reordering).
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, FoExec, ProtocolConfig};
+use fedhh_fo::FoKind;
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
 use std::num::NonZeroUsize;
 
@@ -143,6 +145,39 @@ fn sequential_paths_match_the_pinned_seed_baselines() {
             Some(EngineConfig::sequential()),
         ));
         assert_eq!(batched, pin, "{kind}: batched digest {batched:#018X} moved");
+    }
+}
+
+/// Per-mechanism × oracle pinned digests of the sequential path for the
+/// two oracles the k-RR default above never reaches.  OLH's support count
+/// dispatches between a portable and an AVX-512 build of one loop at run
+/// time, so these pins hold both builds to the same bytes.
+const ORACLE_DIGESTS: [(MechanismKind, FoKind, u64); 8] = [
+    (MechanismKind::FedPem, FoKind::Olh, 0x5EEC_178A_BAA8_890C),
+    (MechanismKind::FedPem, FoKind::Oue, 0x0932_B20A_D6FB_3080),
+    (MechanismKind::Gtf, FoKind::Olh, 0x3E83_93E0_3C46_916E),
+    (MechanismKind::Gtf, FoKind::Oue, 0xD2DC_972C_7906_E671),
+    (MechanismKind::Tap, FoKind::Olh, 0xBEC2_1AF1_8CF4_702A),
+    (MechanismKind::Tap, FoKind::Oue, 0x7CB3_0C33_E5CD_D56E),
+    (MechanismKind::Taps, FoKind::Olh, 0x8ACB_702C_B4C2_4DDB),
+    (MechanismKind::Taps, FoKind::Oue, 0x529B_715A_B79F_E5BF),
+];
+
+/// Guarantee 2 for OLH and OUE: the Batched path reproduces the committed
+/// seed baselines byte-for-byte under each non-default oracle.
+#[test]
+fn olh_and_oue_paths_match_the_pinned_seed_baselines() {
+    let ds = dataset();
+    for (kind, fo, pin) in ORACLE_DIGESTS {
+        let config = ProtocolConfig {
+            fo,
+            ..config(FoExec::Batched)
+        };
+        let batched = digest(&run(kind, &ds, config, Some(EngineConfig::sequential())));
+        assert_eq!(
+            batched, pin,
+            "{kind}/{fo}: batched digest {batched:#018X} moved"
+        );
     }
 }
 
