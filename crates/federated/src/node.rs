@@ -64,7 +64,7 @@ use crate::topology::Topology;
 use crate::transport::canonical_sort;
 use crate::ProtocolConfig;
 use fedhh_wire::{read_frame, write_frame, Decode, Encode, Reader, WireError};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -233,8 +233,12 @@ struct FrameStream {
 }
 
 impl FrameStream {
+    /// Wraps a connected stream.  `timeout` bounds every read *and* every
+    /// write, so a peer that stops reading fails a send once the kernel
+    /// buffer fills instead of blocking the sender forever.
     fn new(stream: TcpStream, timeout: Option<Duration>) -> Result<Self, WireError> {
         stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self {
@@ -247,10 +251,13 @@ impl FrameStream {
         write_frame(&mut self.writer, frame)
     }
 
-    /// Sends an already-encoded [`NodeFrame`] payload (used to fan one
-    /// encoded broadcast out to many peers without re-encoding).
-    fn send_bytes(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        fedhh_wire::write_frame_bytes(&mut self.writer, payload)
+    /// Sends a complete frame built by [`fedhh_wire::frame_bytes`] (used to
+    /// fan one framed broadcast out to many peers without re-encoding or
+    /// re-framing it).
+    fn send_framed(&mut self, frame: &[u8]) -> Result<(), WireError> {
+        self.writer.write_all(frame)?;
+        self.writer.flush()?;
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<NodeFrame, WireError> {
@@ -264,9 +271,9 @@ impl std::fmt::Debug for FrameStream {
     }
 }
 
-/// The default per-read timeout of a node connection: generous enough for a
-/// slow CI round, small enough that a dead peer fails the run instead of
-/// hanging it forever.
+/// The default per-read and per-write timeout of a node connection:
+/// generous enough for a slow CI round, small enough that a dead peer fails
+/// the run instead of hanging it forever.
 pub const DEFAULT_NODE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// The coordinator's listening socket, bound before parties are spawned so
@@ -286,8 +293,8 @@ impl NodeServer {
         })
     }
 
-    /// Overrides the per-read timeout applied to every party connection
-    /// (`None` disables it).
+    /// Overrides the per-read and per-write timeout applied to every party
+    /// connection, and the bound on each accept (`None` disables them).
     pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.timeout = timeout;
         self
@@ -375,9 +382,24 @@ impl NodeServer {
     }
 }
 
+/// The first sleep between two empty accept polls.
+const ACCEPT_POLL_FIRST: Duration = Duration::from_micros(50);
+/// The longest sleep between two empty accept polls: a peer that takes
+/// seconds to dial costs at most 100 polls a second.
+const ACCEPT_POLL_CAP: Duration = Duration::from_millis(10);
+
+/// How long [`accept_with_timeout`] sleeps after its `poll`-th empty poll
+/// (counting from 0): 50 µs, doubling each poll up to 10 ms.  A peer that
+/// connects `t` after the accept began is therefore picked up about `t`
+/// later, rather than a whole fixed poll interval later.
+fn accept_poll_sleep(poll: u32) -> Duration {
+    (ACCEPT_POLL_FIRST * (1 << poll.min(16))).min(ACCEPT_POLL_CAP)
+}
+
 /// Accepts one connection, bounded by `timeout`.  A blocking `accept` has
 /// no native timeout, so the listener polls non-blocking against a
-/// deadline; the accepted stream is switched back to blocking before use.
+/// deadline, backing off per [`accept_poll_sleep`]; the accepted stream is
+/// switched back to blocking before use.
 fn accept_with_timeout(
     listener: &TcpListener,
     timeout: Option<Duration>,
@@ -389,6 +411,7 @@ fn accept_with_timeout(
     };
     let deadline = std::time::Instant::now() + timeout;
     listener.set_nonblocking(true)?;
+    let mut poll = 0;
     let result = loop {
         match listener.accept() {
             Ok((stream, _)) => break Ok(stream),
@@ -399,7 +422,8 @@ fn accept_with_timeout(
                         detail: describe(timeout),
                     });
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                std::thread::sleep(accept_poll_sleep(poll));
+                poll = poll.saturating_add(1);
             }
             Err(err) => break Err(WireError::from(err)),
         }
@@ -417,7 +441,8 @@ pub fn connect_party<A: ToSocketAddrs>(addr: A) -> Result<(PartyLink, NodeWelcom
     connect_party_with_timeout(addr, Some(DEFAULT_NODE_TIMEOUT))
 }
 
-/// [`connect_party`] with an explicit per-read timeout (`None` disables it).
+/// [`connect_party`] with an explicit per-read and per-write timeout, which
+/// also bounds a sub-aggregator's cohort accepts (`None` disables them).
 pub fn connect_party_with_timeout<A: ToSocketAddrs>(
     addr: A,
     timeout: Option<Duration>,
@@ -835,13 +860,14 @@ impl SessionLink {
                     messages,
                     events: all_events,
                 };
-                // Encode the broadcast frame once and fan the same bytes
-                // out to every peer — no per-peer clone or re-encode.
+                // Encode and frame the broadcast once and fan the same bytes
+                // out to every peer — no per-peer clone, re-encode or CRC.
                 let mut payload = Vec::new();
                 payload.push(3); // NodeFrame::Collection tag
                 collection.encode(&mut payload);
+                let frame = fedhh_wire::frame_bytes(&payload)?;
                 for peer in link.peers.iter_mut() {
-                    peer.send_bytes(&payload)?;
+                    peer.send_framed(&frame)?;
                 }
                 Ok(collection)
             }
@@ -1228,6 +1254,147 @@ mod tests {
                 err,
                 WireError::Io {
                     kind: std::io::ErrorKind::TimedOut,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn accept_polls_back_off_from_microseconds_to_the_cap() {
+        let cap = Duration::from_millis(10);
+        let mut previous = accept_poll_sleep(0);
+        assert!(previous <= Duration::from_micros(100), "{previous:?}");
+        for poll in 1..64 {
+            let sleep = accept_poll_sleep(poll);
+            assert!(sleep <= cap, "poll {poll} slept {sleep:?}");
+            assert_eq!(sleep, (previous * 2).min(cap), "poll {poll}");
+            previous = sleep;
+        }
+        assert_eq!(accept_poll_sleep(u32::MAX), cap);
+        // Replay the accept loop on a virtual clock: the sleep that crosses
+        // the deadline never overshoots it by more than one cap.
+        for timeout_us in [1, 49, 50, 51, 1_000, 9_999, 10_000, 123_457, 5_000_000] {
+            let timeout = Duration::from_micros(timeout_us);
+            let (mut elapsed, mut poll) = (Duration::ZERO, 0);
+            while elapsed < timeout {
+                elapsed += accept_poll_sleep(poll);
+                poll += 1;
+            }
+            assert!(
+                elapsed <= timeout + cap,
+                "{timeout:?}: slept to {elapsed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_party_that_dials_after_the_accept_began_is_accepted() {
+        let timeout = Some(Duration::from_secs(5));
+        let server = NodeServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_timeout(timeout);
+        let addr = server.local_addr().unwrap();
+        let run_welcome = NodeWelcome {
+            config: ProtocolConfig::test_default(),
+            scenario: ScenarioPlan::benign(),
+            parallelism: 1,
+            assignments: vec![(0, 2)],
+            app: Vec::new(),
+        };
+        let server_welcome = run_welcome.clone();
+        let started = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let coordinator = std::thread::spawn({
+            let started = started.clone();
+            move || {
+                started.wait();
+                server.accept_parties(&server_welcome)
+            }
+        });
+        started.wait();
+        // Dial well into the accept's back-off, past its first polls.
+        std::thread::sleep(Duration::from_millis(30));
+        let (link, got) = connect_party_with_timeout(addr, timeout).unwrap();
+        assert_eq!(got, run_welcome);
+        assert_eq!(link.rank, 0);
+        let coordinator = coordinator.join().unwrap().unwrap();
+        assert_eq!(coordinator.round_frames(), 1);
+    }
+
+    #[test]
+    fn a_cohort_whose_leaf_never_joins_times_out_instead_of_hanging() {
+        let server = NodeServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_timeout(Some(Duration::from_millis(200)));
+        let addr = server.local_addr().unwrap();
+        let run_welcome = NodeWelcome {
+            config: ProtocolConfig {
+                topology: Topology::Tree {
+                    fanout: 2,
+                    depth: 1,
+                },
+                ..ProtocolConfig::test_default()
+            },
+            scenario: ScenarioPlan::benign(),
+            parallelism: 1,
+            assignments: vec![(0, 1), (1, 2)],
+            app: Vec::new(),
+        };
+        let coordinator = std::thread::spawn(move || server.accept_parties(&run_welcome));
+        // Rank 0 heads the cohort {0, 1}; rank 1 never dials, so neither
+        // the sub-aggregator's cohort accept nor the coordinator's accept
+        // of rank 1 can complete.
+        let err = connect_party_with_timeout(addr, Some(Duration::from_millis(100))).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::Io {
+                    kind: std::io::ErrorKind::TimedOut,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("cohort of rank 0"), "{err}");
+        let err = coordinator.join().unwrap().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::Io {
+                    kind: std::io::ErrorKind::TimedOut,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_fails_the_send_instead_of_hanging() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        // The receiving side stays open for the whole test but never reads.
+        let _silent = FrameStream::new(client, None).unwrap();
+        let mut sender = FrameStream::new(server, Some(Duration::from_millis(100))).unwrap();
+        let (done, outcome) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let frame = fedhh_wire::frame_bytes(&vec![0u8; 1 << 20]).unwrap();
+            // Far more than any loopback socket buffers: a send must fail.
+            let result = (0..1024).try_for_each(|_| sender.send_framed(&frame));
+            done.send(result).unwrap();
+        });
+        let result = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a send to a peer that never reads hung past 30 s");
+        writer.join().unwrap();
+        let err = result.unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::Io {
+                    kind: std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut,
                     ..
                 }
             ),

@@ -51,6 +51,15 @@ pub fn write_frame<W: Write, T: Encode + ?Sized>(
 
 /// Writes an already-encoded payload as one frame.
 pub fn write_frame_bytes<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireError> {
+    writer.write_all(&frame_bytes(payload)?)?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// Builds the complete frame (length prefix, schema byte, payload, CRC-32)
+/// around an already-encoded payload.  A sender that fans one payload out
+/// to many peers frames it once and writes the same bytes to each.
+pub fn frame_bytes(payload: &[u8]) -> Result<Vec<u8>, WireError> {
     let length = 1 + payload.len() + 4;
     if length > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge {
@@ -66,9 +75,7 @@ pub fn write_frame_bytes<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(),
     // contiguously after the length prefix — no second copy needed.
     let crc = crc32(&body[4..]);
     body.extend_from_slice(&crc.to_le_bytes());
-    writer.write_all(&body)?;
-    writer.flush()?;
-    Ok(())
+    Ok(body)
 }
 
 /// Reads one frame and decodes its payload as `T`.
@@ -129,6 +136,19 @@ mod tests {
         let bytes = framed("payload");
         let back: String = read_frame(&mut Cursor::new(&bytes)).unwrap();
         assert_eq!(back, "payload");
+    }
+
+    #[test]
+    fn prebuilt_frames_are_the_bytes_a_writer_sends() {
+        let payload = to_bytes("payload");
+        let prebuilt = frame_bytes(&payload).unwrap();
+        let mut written = Vec::new();
+        write_frame_bytes(&mut written, &payload).unwrap();
+        assert_eq!(prebuilt, written);
+        assert_eq!(
+            read_frame_bytes(&mut Cursor::new(&prebuilt)).unwrap(),
+            payload
+        );
     }
 
     #[test]

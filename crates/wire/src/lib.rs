@@ -76,5 +76,6 @@ pub use codec::{
 pub use crc::crc32;
 pub use error::WireError;
 pub use frame::{
-    read_frame, read_frame_bytes, write_frame, write_frame_bytes, MAX_FRAME_LEN, WIRE_SCHEMA,
+    frame_bytes, read_frame, read_frame_bytes, write_frame, write_frame_bytes, MAX_FRAME_LEN,
+    WIRE_SCHEMA,
 };
